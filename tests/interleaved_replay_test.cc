@@ -20,6 +20,7 @@
 #include "loop/loop_stats.hh"
 #include "speculation/event_record.hh"
 #include "tables/hit_ratio.hh"
+#include "tests/test_util.hh"
 #include "trace_io/replay_source.hh"
 #include "trace_io/stream_reader.hh"
 #include "trace_io/trace_codec.hh"
@@ -157,7 +158,8 @@ TEST(InterleavedReplay, StreamedSourcesMatchInMemory)
     // interleaved at different CLS sizes with tiny I/O chunks so pump
     // boundaries land inside every record shape.
     ControlTrace trace = recordTrace();
-    std::string path = traceFilePath(::testing::TempDir(),
+    test::ScratchDir scratch;
+    std::string path = traceFilePath(scratch.path(),
                                      "ilv_streamed", kControlTraceExt);
     writeControlTraceFile(path, trace, TraceEncoding::Varint);
 
@@ -191,7 +193,8 @@ TEST(InterleavedReplay, StreamedSourcesMatchInMemory)
 TEST(InterleavedReplay, StreamedTruncationWindowMatchesInMemory)
 {
     ControlTrace trace = recordTrace("li");
-    std::string path = traceFilePath(::testing::TempDir(),
+    test::ScratchDir scratch;
+    std::string path = traceFilePath(scratch.path(),
                                      "ilv_streamed_cut", kControlTraceExt);
     writeControlTraceFile(path, trace, TraceEncoding::Raw);
     const uint64_t cut = trace.totalInstrs / 2;
@@ -212,7 +215,8 @@ TEST(InterleavedReplay, CorruptStreamFailsButDrainsHealthySources)
     // A mid-payload file truncation must surface as an interleave error
     // while the healthy in-memory source still completes bit-exact.
     ControlTrace trace = recordTrace();
-    std::string path = traceFilePath(::testing::TempDir(),
+    test::ScratchDir scratch;
+    std::string path = traceFilePath(scratch.path(),
                                      "ilv_corrupt", kControlTraceExt);
     writeControlTraceFile(path, trace, TraceEncoding::Varint);
     {

@@ -21,6 +21,7 @@
 #include "speculation/event_record.hh"
 #include "speculation/ideal_tpc.hh"
 #include "tables/hit_ratio.hh"
+#include "tests/test_util.hh"
 #include "trace_io/container.hh"
 #include "trace_io/stream_reader.hh"
 #include "trace_io/trace_codec.hh"
@@ -661,13 +662,13 @@ TEST(StreamingReplay, MatchesInMemoryAndMmapAtEveryClsSize)
         SCOPED_TRACE(name);
         Program p = buildWorkload(name, {kScale});
         auto [trace, rec] = recordOnce(p, 16);
+        test::ScratchDir scratch;
 
         for (TraceEncoding enc :
              {TraceEncoding::Raw, TraceEncoding::Varint}) {
             SCOPED_TRACE(enc == TraceEncoding::Raw ? "raw" : "varint");
             std::string path = traceFilePath(
-                ::testing::TempDir(),
-                std::string("stream_eq_") + name +
+                scratch.path(), std::string("stream_eq_") + name +
                     (enc == TraceEncoding::Raw ? "_raw" : "_vz"),
                 kControlTraceExt);
             writeControlTraceFile(path, trace, enc);
@@ -720,9 +721,9 @@ TEST(StreamingReplay, MidStreamPrefixCutsMatchTruncatedInMemoryReplay)
 {
     Program p = buildWorkload("compress", {kScale});
     auto [trace, rec] = recordOnce(p, 16);
+    test::ScratchDir scratch;
     std::string path =
-        traceFilePath(::testing::TempDir(), "stream_eq_prefix",
-                      kControlTraceExt);
+        traceFilePath(scratch.path(), "stream_eq_prefix", kControlTraceExt);
     writeControlTraceFile(path, trace, TraceEncoding::Varint);
 
     std::string err;
@@ -760,12 +761,13 @@ TEST(StreamingReplay, EventStreamMatchesInMemoryLoopEventReplay)
     Program p = buildWorkload("li", {kScale});
     auto [trace, rec] = recordOnce(p, 8);
     ASSERT_FALSE(rec.loopEvents.empty());
+    test::ScratchDir scratch;
 
     for (TraceEncoding enc :
          {TraceEncoding::Raw, TraceEncoding::Varint}) {
         SCOPED_TRACE(enc == TraceEncoding::Raw ? "raw" : "varint");
         std::string path = traceFilePath(
-            ::testing::TempDir(),
+            scratch.path(),
             enc == TraceEncoding::Raw ? "stream_eq_rec_raw"
                                       : "stream_eq_rec_vz",
             kRecordingExt);

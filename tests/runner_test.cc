@@ -1,9 +1,6 @@
 /** @file Unit tests for src/harness: RunOptions and flag parsing, plus
  *  the --trace-dir streaming-replay run mode (docs/TRACE_FORMAT.md). */
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +8,7 @@
 #include <vector>
 
 #include "harness/runner.hh"
+#include "tests/test_util.hh"
 #include "trace_io/container.hh"
 #include "trace_io/trace_codec.hh"
 #include "workloads/workload.hh"
@@ -156,17 +154,6 @@ TEST(SweepGridFromOptions, DefaultSelectionIsWholeRegistry)
 
 // ------------------------------------------------------------- --trace-dir
 
-/** Fresh subdirectory under the gtest temp dir (the temp dir itself is
- *  shared across suites, and selected() scans whole directories). */
-std::string
-freshTraceDir(const std::string &tag)
-{
-    std::string dir = ::testing::TempDir() + "runner_" + tag + "_" +
-                      std::to_string(::getpid());
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
-}
-
 TEST(ParseRunOptions, TraceDirFlagReachesOptionsAndGrid)
 {
     const char *argv[] = {"prog", "--trace-dir=/some/dir"};
@@ -182,7 +169,8 @@ TEST(ParseRunOptions, TraceDirFlagReachesOptionsAndGrid)
 
 TEST(RunOptions, SelectedScansTraceDirForContainers)
 {
-    std::string dir = freshTraceDir("scan");
+    test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     // Stems of *.lstrace files, sorted; other files are ignored.
     writeFileBytes(traceFilePath(dir, "zeta", kControlTraceExt), {1});
     writeFileBytes(traceFilePath(dir, "alpha", kControlTraceExt), {1});
@@ -201,7 +189,8 @@ TEST(RunOptions, SelectedScansTraceDirForContainers)
 
 TEST(RunWorkloadTraceDir, StreamedReplayMatchesDirectExecution)
 {
-    std::string dir = freshTraceDir("replay");
+    test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     RunOptions opts;
     opts.scale.factor = 0.05;
     exportWorkloadTrace("compress", opts, dir, TraceEncoding::Varint);
@@ -253,7 +242,8 @@ TEST(RunWorkloadTraceDirDeathTest, MissingDirectoryIsFatal)
 TEST(RunWorkloadTraceDirDeathTest, MissingTraceFileIsFatal)
 {
     RunOptions opts;
-    opts.traceDir = freshTraceDir("missing");
+    test::ScratchDir scratch;
+    opts.traceDir = scratch.path();
     opts.benchmarks = {"compress"};
     EXPECT_EXIT(runWorkload("compress", opts, {}),
                 testing::ExitedWithCode(1), "cannot open trace file");
@@ -261,7 +251,8 @@ TEST(RunWorkloadTraceDirDeathTest, MissingTraceFileIsFatal)
 
 TEST(RunWorkloadTraceDirDeathTest, MalformedContainerIsFatal)
 {
-    std::string dir = freshTraceDir("garbage");
+    test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     std::vector<uint8_t> junk(64, 0xde); // header-sized, wrong magic
     writeFileBytes(traceFilePath(dir, "junk", kControlTraceExt), junk);
     RunOptions opts;
@@ -273,7 +264,8 @@ TEST(RunWorkloadTraceDirDeathTest, MalformedContainerIsFatal)
 TEST(RunWorkloadTraceDirDeathTest, DataSpecNeedsOperandValues)
 {
     RunOptions opts;
-    opts.traceDir = freshTraceDir("dataspec");
+    test::ScratchDir scratch;
+    opts.traceDir = scratch.path();
     CollectFlags flags;
     flags.dataSpec = true;
     EXPECT_EXIT(runWorkload("compress", opts, flags),

@@ -8,9 +8,6 @@
  * under the `quick` CTest label (docs/TESTING.md).
  */
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,6 +15,7 @@
 
 #include "harness/runner.hh"
 #include "speculation/spec_sim.hh"
+#include "tests/test_util.hh"
 #include "trace_io/trace_codec.hh"
 
 namespace loopspec
@@ -397,18 +395,14 @@ TEST(SpecSweep, SharedIndexMatchesOwnedIndex)
 
 // ------------------------------------------------------------- --trace-dir
 
-/** Export control traces for @p benchmarks into a fresh directory
- *  under the gtest temp dir; returns the directory. */
+/** Export control traces for @p benchmarks into @p dir; returns it. */
 std::string
 exportTraces(const std::vector<std::string> &benchmarks,
-             const RunOptions &opts, const std::string &tag)
+             const RunOptions &opts, const test::ScratchDir &dir)
 {
-    std::string dir = ::testing::TempDir() + "sweep_" + tag + "_" +
-                      std::to_string(::getpid());
-    ::mkdir(dir.c_str(), 0755);
     for (const std::string &name : benchmarks)
-        exportWorkloadTrace(name, opts, dir, TraceEncoding::Varint);
-    return dir;
+        exportWorkloadTrace(name, opts, dir.path(), TraceEncoding::Varint);
+    return dir.path();
 }
 
 TEST(SpecSweep, TraceDirGridMatchesInProcessExecution)
@@ -427,8 +421,8 @@ TEST(SpecSweep, TraceDirGridMatchesInProcessExecution)
     SweepResult direct = runSpecSweep(grid, 2);
 
     SweepGrid from_traces = grid;
-    from_traces.traceDir =
-        exportTraces(grid.workloads, opts, "bitident");
+    test::ScratchDir scratch;
+    from_traces.traceDir = exportTraces(grid.workloads, opts, scratch);
     from_traces.checkReplay = true; // engine cross-checks derived CLS
     SweepResult replayed = runSpecSweep(from_traces, 2);
 
@@ -453,7 +447,8 @@ TEST(SpecSweep, TraceDirDeterministicAcrossJobCounts)
     SweepGrid grid = sweepGridFromOptions(opts);
     grid.policies = {{SpecPolicy::Str, 3, DataMode::None, "STR"}};
     grid.tuCounts = {2, 4, 8};
-    grid.traceDir = exportTraces(grid.workloads, opts, "jobs");
+    test::ScratchDir scratch;
+    grid.traceDir = exportTraces(grid.workloads, opts, scratch);
 
     SweepResult serial = runSpecSweep(grid, 1);
     ASSERT_EQ(serial.cells.size(), 2u * 3u);

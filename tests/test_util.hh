@@ -3,15 +3,21 @@
  * Shared test helpers: the test-suite RNG seed base, an event-capturing
  * LoopListener with a compact textual rendering (for golden-sequence
  * assertions), one-call program tracing, and the loop-program builders
- * (flat counted loop, two-level nest) that half the suites need.
+ * (flat counted loop, two-level nest) that half the suites need, and
+ * ScratchDir, the per-test directory for files a test writes.
  */
 
 #ifndef LOOPSPEC_TESTS_TEST_UTIL_HH
 #define LOOPSPEC_TESTS_TEST_UTIL_HH
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "loop/loop_detector.hh"
 #include "program/builder.hh"
@@ -37,6 +43,56 @@ testSeed(uint64_t n)
 {
     return kTestSeed + n;
 }
+
+/**
+ * A private directory for the files one test writes, removed with
+ * everything in it when the helper goes out of scope. The name joins the
+ * process id with the running test's suite and name, so concurrent ctest
+ * processes (or two build trees testing at once) never share a path the
+ * way they would inside the bare ::testing::TempDir().
+ */
+class ScratchDir
+{
+  public:
+    ScratchDir()
+    {
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        std::string name = "loopspec_" + std::to_string(::getpid());
+        if (info) {
+            name += std::string("_") + info->test_suite_name() + "_" +
+                    info->name();
+        }
+        for (char &c : name) {
+            if (c == '/')
+                c = '_';
+        }
+        dir = std::filesystem::path(::testing::TempDir()) / name;
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+    }
+
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+    }
+
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    /** The directory, without a trailing separator. */
+    std::string path() const { return dir.string(); }
+
+    /** @p file inside the directory. */
+    std::string file(const std::string &name) const
+    {
+        return (dir / name).string();
+    }
+
+  private:
+    std::filesystem::path dir;
+};
 
 /** Flat counted loop: @p trips iterations of (@p nops + 2) instrs. */
 inline Program

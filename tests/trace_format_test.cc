@@ -315,7 +315,8 @@ TEST(TraceFormatStreaming, TinyChunkBytesIsRaisedToDocumentedMinimum)
     // split record must fit one carry) and the replay still works.
     RunOptions opts;
     opts.maxInstrs = 50000;
-    std::string dir = ::testing::TempDir();
+    test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     std::string path = exportWorkloadTrace("compress", opts, dir,
                                            TraceEncoding::Raw);
 
@@ -341,7 +342,8 @@ TEST(TraceFormatStreaming, MassiveTraceReplaysWithinFixedMemoryBudget)
     // one carried record, one batch buffer — never the file size.
     RunOptions opts;
     opts.maxInstrs = 4000000;
-    std::string dir = ::testing::TempDir();
+    test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     std::string path =
         exportWorkloadTrace("synth.massive", opts, dir, TraceEncoding::Raw);
 
