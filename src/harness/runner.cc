@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "loop/loop_detector.hh"
 #include "speculation/ideal_tpc.hh"
@@ -95,39 +94,6 @@ hitRatioTableSizes()
 namespace
 {
 
-/** One full trace pass with a given listener/observer set. */
-uint64_t
-tracePass(const Program &prog, uint64_t max_instrs, size_t cls_entries,
-          const std::vector<LoopListener *> &listeners,
-          const std::vector<TraceObserver *> &extra_observers = {})
-{
-    EngineConfig ecfg;
-    ecfg.maxInstrs = max_instrs;
-    TraceEngine engine(prog, ecfg);
-    LoopDetector detector({cls_entries});
-    for (auto *l : listeners)
-        detector.addListener(l);
-    engine.addObserver(&detector);
-    for (auto *obs : extra_observers)
-        engine.addObserver(obs);
-    return engine.run();
-}
-
-void
-checkMeterMatch(const char *what, const std::string &name, size_t entries,
-                const HitRatioResult &direct, const HitRatioResult &replay)
-{
-    if (direct.accesses != replay.accesses || direct.hits != replay.hits) {
-        fatal("%s: %s@%zu replay mismatch: direct %llu/%llu vs "
-              "replay %llu/%llu",
-              name.c_str(), what, entries,
-              static_cast<unsigned long long>(direct.hits),
-              static_cast<unsigned long long>(direct.accesses),
-              static_cast<unsigned long long>(replay.hits),
-              static_cast<unsigned long long>(replay.accesses));
-    }
-}
-
 /** Fan one replayed batch out to several observers (detector +
  *  predictor meters ride the same streaming pass, as they ride the
  *  same engine pass in process). */
@@ -141,13 +107,6 @@ class FanoutObserver : public TraceObserver
     {
         for (auto *o : targets)
             o->onInstr(instr);
-    }
-
-    void
-    onInstrBatch(const DynInstr *instrs, size_t count) override
-    {
-        for (auto *o : targets)
-            o->onInstrBatch(instrs, count);
     }
 
     void
@@ -169,156 +128,178 @@ class FanoutObserver : public TraceObserver
     std::vector<TraceObserver *> targets;
 };
 
-/**
- * The --trace-dir functional pass: an out-of-core streaming replay of
- * <traceDir>/<name>.lstrace stands in for executing the workload.
- * Derivations are shared with the in-process path (recording replays,
- * meter replays), so artifacts are bit-identical to a run over the
- * ControlTrace the file was exported from. Under checkReplay the
- * streaming pass is additionally cross-checked against a fully
- * materialized in-memory replay of the same file.
- */
-WorkloadArtifacts
-runWorkloadFromTrace(const std::string &name, const RunOptions &opts,
-                     const CollectFlags &flags)
+/** The listeners behind Table 1, Figure 4 and the full ideal TPC. */
+struct Derived
 {
-    WorkloadArtifacts out;
-    out.name = name;
-    if (flags.dataSpec || flags.dataCorrectness || flags.memTrace) {
-        fatal("%s: data-speculation profiling reads operand values, "
-              "which a control-trace replay (--trace-dir) cannot "
-              "provide",
-              name.c_str());
-    }
-
-    const std::string path =
-        traceFilePath(opts.traceDir, name, kControlTraceExt);
-    std::string err;
-    std::unique_ptr<TraceFileStreamer> streamer =
-        TraceFileStreamer::open(path, StreamConfig{}, &err);
-    if (!streamer)
-        fatal("%s", err.c_str());
-
-    // A recording always rides along under checkReplay: comparing it
-    // against the materialized replay covers the whole detector event
-    // stream in one oracle.
-    const bool need_recorder =
-        flags.recording || flags.hitRatios || opts.checkReplay;
-
     LoopStats stats;
+    std::vector<std::unique_ptr<LetHitMeter>> lets;
+    std::vector<std::unique_ptr<LitHitMeter>> lits;
     IdealTpcComputer ideal;
-    LoopEventRecorder recorder;
-    LoopDetector detector({opts.clsEntries});
-    if (flags.loopStats)
-        detector.addListener(&stats);
-    if (flags.ideal)
-        detector.addListener(&ideal);
-    if (need_recorder)
-        detector.addListener(&recorder);
-    PredictorMeter predictorMeter(flags.predictors);
 
-    FanoutObserver fan;
-    fan.add(&detector);
-    if (!flags.predictors.empty())
-        fan.add(&predictorMeter);
-
-    err = streamer->replayControl(fan, opts.maxInstrs);
-    if (!err.empty())
-        fatal("%s", err.c_str());
-    out.totalInstrs = streamer->totalInstrs();
-    if (opts.maxInstrs && opts.maxInstrs < out.totalInstrs)
-        out.totalInstrs = opts.maxInstrs;
-
-    LoopEventRecording recording;
-    if (need_recorder)
-        recording = recorder.take();
-
-    ControlTrace materialized;
-    if (opts.checkReplay || flags.controlTrace)
-        materialized = readControlTraceFile(path);
-
-    if (opts.checkReplay) {
-        LoopDetector direct({opts.clsEntries});
-        LoopEventRecorder directRec;
-        direct.addListener(&directRec);
-        PredictorMeter directMeter(flags.predictors);
-        FanoutObserver directFan;
-        directFan.add(&direct);
-        if (!flags.predictors.empty())
-            directFan.add(&directMeter);
-        replayControlTrace(materialized, directFan, opts.maxInstrs);
-        std::string diff =
-            compareRecordings(directRec.take(), recording);
-        if (!diff.empty()) {
-            fatal("%s: streaming replay diverges from in-memory "
-                  "replay: %s",
-                  name.c_str(), diff.c_str());
-        }
-        std::vector<PredictorMeterResult> a = predictorMeter.results();
-        std::vector<PredictorMeterResult> b = directMeter.results();
-        for (size_t i = 0; i < a.size(); ++i) {
-            if (a[i].lookups != b[i].lookups || a[i].hits != b[i].hits ||
-                a[i].stateHash != b[i].stateHash) {
-                fatal("%s: predictor %s diverges between streaming and "
-                      "in-memory replay",
-                      name.c_str(), predictorName(a[i].config).c_str());
-            }
-        }
-    }
-
-    if (flags.loopStats)
-        out.loopStats = stats.report();
-    if (flags.hitRatios) {
-        std::vector<std::unique_ptr<LetHitMeter>> lets;
-        std::vector<std::unique_ptr<LitHitMeter>> lits;
-        std::vector<LoopListener *> meters;
-        for (size_t sz : hitRatioTableSizes()) {
+    /** @p flags' listeners, for a replay or a live pass. */
+    std::vector<LoopListener *>
+    listeners(const CollectFlags &flags)
+    {
+        std::vector<LoopListener *> out;
+        if (flags.loopStats)
+            out.push_back(&stats);
+        for (size_t sz : flags.hitRatios ? hitRatioTableSizes()
+                                         : std::vector<size_t>{}) {
             lets.push_back(std::make_unique<LetHitMeter>(sz));
             lits.push_back(std::make_unique<LitHitMeter>(sz));
-            meters.push_back(lets.back().get());
-            meters.push_back(lits.back().get());
+            out.push_back(lets.back().get());
+            out.push_back(lits.back().get());
         }
-        replayLoopEvents(recording, meters);
-        for (size_t i = 0; i < lets.size(); ++i) {
-            out.letResults.emplace_back(lets[i]->numEntries(),
-                                        lets[i]->result());
-            out.litResults.emplace_back(lits[i]->numEntries(),
-                                        lits[i]->result());
-        }
+        if (flags.ideal)
+            out.push_back(&ideal);
+        return out;
+    }
+};
+
+/**
+ * The one derive step, shared by both sources: Table 1, the Figure-4
+ * meters and the ideal ∞-TU TPC over the whole trace and its first
+ * half, all by windowed replay of the recording (replayLoopEvents).
+ */
+void
+deriveFromRecording(const LoopEventRecording &recording,
+                    const CollectFlags &flags, WorkloadArtifacts *out)
+{
+    Derived d;
+    replayLoopEvents(recording, d.listeners(flags));
+    if (flags.loopStats)
+        out->loopStats = d.stats.report();
+    for (size_t i = 0; i < d.lets.size(); ++i) {
+        out->letResults.emplace_back(d.lets[i]->numEntries(),
+                                     d.lets[i]->result());
+        out->litResults.emplace_back(d.lits[i]->numEntries(),
+                                     d.lits[i]->result());
     }
     if (flags.ideal) {
-        out.idealTpc = ideal.tpc();
+        out->idealTpc = d.ideal.tpc();
         IdealTpcComputer prefix;
-        LoopDetector prefixDet({opts.clsEntries});
-        prefixDet.addListener(&prefix);
-        err = streamer->replayControl(prefixDet, out.totalInstrs / 2);
-        if (!err.empty())
-            fatal("%s", err.c_str());
-        out.idealTpcPrefix = prefix.tpc();
-        if (opts.checkReplay) {
-            IdealTpcComputer direct;
-            LoopDetector directDet({opts.clsEntries});
-            directDet.addListener(&direct);
-            replayControlTrace(materialized, directDet,
-                               out.totalInstrs / 2);
-            if (direct.tpc() != prefix.tpc() ||
-                direct.idealCycles() != prefix.idealCycles()) {
-                fatal("%s: prefix replay mismatch: in-memory TPC %.17g "
-                      "vs streaming %.17g",
-                      name.c_str(), direct.tpc(), prefix.tpc());
-            }
-        }
+        replayLoopEvents(recording, {&prefix},
+                         idealPrefixWindow(recording.totalInstrs));
+        out->idealTpcPrefix = prefix.tpc();
     }
-    if (!flags.predictors.empty())
-        out.predictorStats = predictorMeter.results();
-    if (flags.recording)
-        out.recording = std::move(recording);
-    if (flags.controlTrace)
-        out.controlTrace = std::move(materialized);
-    return out;
+}
+
+bool
+sameMeter(const HitRatioResult &a, const HitRatioResult &b)
+{
+    return a.accesses == b.accesses && a.hits == b.hits;
+}
+
+/**
+ * --check-replay, shared by both sources. @p ctrace is the pass's
+ * control trace (recorded in process, or the container's materialized
+ * copy): a detector fed by it must re-record the pass's recording, and
+ * predictor meters fed by it must end in the pass's table state. Every
+ * derived artifact must equal a direct computation: Table 1, the meters
+ * and the full ideal TPC equal the listeners in @p live that rode the
+ * pass; the prefix equals one direct detection over its window.
+ */
+void
+checkDerived(const std::string &name, const RunOptions &opts,
+             const CollectFlags &flags, const ControlTrace &ctrace,
+             const LoopEventRecording &recording, Derived &live,
+             const WorkloadArtifacts &out)
+{
+    const char *what = name.c_str();
+    LoopDetector det({opts.clsEntries});
+    LoopEventRecorder rerecorder;
+    det.addListener(&rerecorder);
+    PredictorMeter meter(flags.predictors);
+    FanoutObserver fan;
+    fan.add(&det);
+    fan.add(&meter);
+    replayControlTrace(ctrace, fan, opts.maxInstrs);
+    std::string diff = compareRecordings(rerecorder.take(), recording);
+    if (!diff.empty())
+        fatal("%s: pass diverges from its control trace: %s", what,
+              diff.c_str());
+    // The meters read only pc/kind/taken — fields the control trace
+    // records exactly — so the final table state must match too.
+    const std::vector<PredictorMeterResult> replayed = meter.results();
+    for (size_t i = 0; i < replayed.size(); ++i) {
+        const PredictorMeterResult &a = out.predictorStats[i];
+        const PredictorMeterResult &b = replayed[i];
+        if (a.lookups != b.lookups || a.hits != b.hits ||
+            a.stateHash != b.stateHash)
+            fatal("%s: predictor %s diverges from its control trace", what,
+                  predictorName(a.config).c_str());
+    }
+
+    const LoopStatsReport &a = live.stats.report();
+    const LoopStatsReport &b = out.loopStats;
+    if (a.totalInstrs != b.totalInstrs || a.staticLoops != b.staticLoops ||
+        a.totalExecs != b.totalExecs || a.totalIters != b.totalIters ||
+        a.singleIterExecs != b.singleIterExecs ||
+        a.itersPerExec != b.itersPerExec ||
+        a.instrsPerIter != b.instrsPerIter ||
+        a.avgNesting != b.avgNesting || a.maxNesting != b.maxNesting ||
+        a.overflowDrops != b.overflowDrops ||
+        a.loopCoverage != b.loopCoverage)
+        fatal("%s: Table-1 statistics replay mismatch", what);
+    for (size_t i = 0; i < out.letResults.size(); ++i) {
+        if (!sameMeter(live.lets[i]->result(), out.letResults[i].second) ||
+            !sameMeter(live.lits[i]->result(), out.litResults[i].second))
+            fatal("%s: LET/LIT@%zu replay mismatch", what,
+                  out.letResults[i].first);
+    }
+    if (!flags.ideal)
+        return;
+    if (live.ideal.tpc() != out.idealTpc)
+        fatal("%s: ideal TPC replay mismatch: live %.17g vs replay %.17g",
+              what, live.ideal.tpc(), out.idealTpc);
+
+    const uint64_t window = idealPrefixWindow(recording.totalInstrs);
+    LoopDetector prefix_det({opts.clsEntries});
+    IdealTpcComputer direct, windowed;
+    LoopEventRecorder direct_rec, windowed_rec;
+    prefix_det.addListener(&direct);
+    prefix_det.addListener(&direct_rec);
+    replayControlTrace(ctrace, prefix_det, window);
+    replayLoopEvents(recording, {&windowed, &windowed_rec}, window);
+    diff = compareRecordings(direct_rec.take(), windowed_rec.take());
+    if (!diff.empty() || direct.idealCycles() != windowed.idealCycles() ||
+        direct.tpc() != out.idealTpcPrefix)
+        fatal("%s: prefix replay diverges from direct detection over %llu "
+              "instrs: %s (TPC %.17g vs %.17g)",
+              what, static_cast<unsigned long long>(window), diff.c_str(),
+              direct.tpc(), out.idealTpcPrefix);
 }
 
 } // namespace
+
+std::string
+recordAtClsSizes(const std::vector<size_t> &cls_sizes,
+                 const std::function<std::unique_ptr<ReplaySource>(
+                     TraceObserver &)> &make_source,
+                 std::vector<LoopEventRecording> *recordings)
+{
+    struct Pass
+    {
+        LoopDetector det;
+        LoopEventRecorder rec;
+        explicit Pass(size_t cls) : det({cls}) { det.addListener(&rec); }
+    };
+    std::vector<std::unique_ptr<Pass>> passes;
+    std::vector<std::unique_ptr<ReplaySource>> sources;
+    std::vector<ReplaySource *> source_ptrs;
+    for (size_t cls : cls_sizes) {
+        passes.push_back(std::make_unique<Pass>(cls));
+        sources.push_back(make_source(passes.back()->det));
+        source_ptrs.push_back(sources.back().get());
+    }
+    std::string err = interleaveReplay(source_ptrs);
+    if (!err.empty())
+        return err;
+    recordings->clear();
+    for (auto &pass : passes)
+        recordings->push_back(pass->rec.take());
+    return "";
+}
 
 WorkloadArtifacts
 runWorkload(const std::string &name, const RunOptions &opts,
@@ -332,156 +313,91 @@ runWorkload(const std::string &name, const RunOptions &opts,
         flags.recording = true;
         flags.dataSpec = true;
     }
+    const bool from_trace = !opts.traceDir.empty();
+    if (from_trace && (flags.dataSpec || flags.memTrace)) {
+        fatal("%s: data-speculation profiling reads operand values, "
+              "which a control-trace replay (--trace-dir) cannot "
+              "provide",
+              name.c_str());
+    }
 
-    if (!opts.traceDir.empty())
-        return runWorkloadFromTrace(name, opts, flags);
+    // --- Source: one pass materializes the recording and its riders --
+    // The pass is the workload's execution, or an out-of-core streaming
+    // replay of <traceDir>/<name>.lstrace (docs/TRACE_FORMAT.md).
+    const bool need_recording = flags.recording || flags.loopStats ||
+                                flags.hitRatios || flags.ideal ||
+                                opts.checkReplay;
+    const bool need_ctrace = flags.controlTrace || opts.checkReplay;
 
-    Program prog = buildWorkload(name, opts.scale);
-
-    // --- Single functional pass -------------------------------------
-    // Everything an experiment needs is gathered here; derived
-    // configurations below run off the recordings, never the engine.
-    const bool need_recorder = flags.recording || flags.hitRatios;
-    const bool check_predictors =
-        !flags.predictors.empty() && opts.checkReplay;
-    const bool need_ctrace =
-        flags.ideal || flags.controlTrace || check_predictors;
-
-    LoopStats stats;
-    IdealTpcComputer ideal;
     LoopEventRecorder recorder;
-    ControlTraceRecorder ctraceRecorder;
+    Derived live; // --check-replay's listeners riding the pass
     DataSpecConfig dcfg;
     dcfg.recordPerIteration = flags.dataCorrectness;
     DataSpecProfiler profiler(dcfg);
-
-    // Cross-check mode: meters also ride the live pass for comparison.
-    std::vector<std::unique_ptr<LetHitMeter>> liveLets;
-    std::vector<std::unique_ptr<LitHitMeter>> liveLits;
-
-    std::vector<LoopListener *> listeners;
-    if (flags.loopStats)
-        listeners.push_back(&stats);
-    if (flags.hitRatios && opts.checkReplay) {
-        for (size_t sz : hitRatioTableSizes()) {
-            liveLets.push_back(std::make_unique<LetHitMeter>(sz));
-            liveLits.push_back(std::make_unique<LitHitMeter>(sz));
-            listeners.push_back(liveLets.back().get());
-            listeners.push_back(liveLits.back().get());
-        }
-    }
-    if (flags.ideal)
-        listeners.push_back(&ideal);
-    if (need_recorder)
-        listeners.push_back(&recorder);
-    if (flags.dataSpec)
-        listeners.push_back(&profiler);
-
     PredictorMeter predictorMeter(flags.predictors);
     MemTraceRecorder memRecorder;
+    ControlTraceRecorder ctraceRecorder;
 
-    std::vector<TraceObserver *> extra;
-    if (need_ctrace)
-        extra.push_back(&ctraceRecorder);
+    LoopDetector detector({opts.clsEntries});
+    if (need_recording)
+        detector.addListener(&recorder);
+    if (opts.checkReplay) {
+        for (LoopListener *l : live.listeners(flags))
+            detector.addListener(l);
+    }
+    if (flags.dataSpec)
+        detector.addListener(&profiler);
+    std::vector<TraceObserver *> observers = {&detector};
     if (!flags.predictors.empty())
-        extra.push_back(&predictorMeter);
+        observers.push_back(&predictorMeter);
     if (flags.memTrace)
-        extra.push_back(&memRecorder);
+        observers.push_back(&memRecorder);
 
-    out.totalInstrs =
-        tracePass(prog, opts.maxInstrs, opts.clsEntries, listeners, extra);
+    ControlTrace ctrace;
+    if (from_trace) {
+        FanoutObserver pass;
+        for (TraceObserver *o : observers)
+            pass.add(o);
+        const std::string path =
+            traceFilePath(opts.traceDir, name, kControlTraceExt);
+        std::string err;
+        std::unique_ptr<TraceFileStreamer> streamer =
+            TraceFileStreamer::open(path, StreamConfig{}, &err);
+        if (!streamer)
+            fatal("%s", err.c_str());
+        err = streamer->replayControl(pass, opts.maxInstrs);
+        if (!err.empty())
+            fatal("%s", err.c_str());
+        out.totalInstrs = streamer->totalInstrs();
+        if (opts.maxInstrs && opts.maxInstrs < out.totalInstrs)
+            out.totalInstrs = opts.maxInstrs;
+        if (need_ctrace)
+            ctrace = readControlTraceFile(path);
+    } else {
+        if (need_ctrace)
+            observers.push_back(&ctraceRecorder);
+        Program prog = buildWorkload(name, opts.scale);
+        EngineConfig ecfg;
+        ecfg.maxInstrs = opts.maxInstrs;
+        TraceEngine engine(prog, ecfg);
+        for (TraceObserver *o : observers)
+            engine.addObserver(o);
+        out.totalInstrs = engine.run();
+        if (need_ctrace)
+            ctrace = ctraceRecorder.take();
+    }
 
     LoopEventRecording recording;
-    if (need_recorder)
+    if (need_recording)
         recording = recorder.take();
-    ControlTrace ctrace;
-    if (need_ctrace)
-        ctrace = ctraceRecorder.take();
-
-    // --- Replay-derived artifacts -----------------------------------
-    if (flags.loopStats)
-        out.loopStats = stats.report();
-    if (flags.hitRatios) {
-        // Figure-4 table-size sweep: the meters consume loop events
-        // only, so all eight run off the recorded stream.
-        std::vector<std::unique_ptr<LetHitMeter>> lets;
-        std::vector<std::unique_ptr<LitHitMeter>> lits;
-        std::vector<LoopListener *> meters;
-        for (size_t sz : hitRatioTableSizes()) {
-            lets.push_back(std::make_unique<LetHitMeter>(sz));
-            lits.push_back(std::make_unique<LitHitMeter>(sz));
-            meters.push_back(lets.back().get());
-            meters.push_back(lits.back().get());
-        }
-        replayLoopEvents(recording, meters);
-        for (size_t i = 0; i < lets.size(); ++i) {
-            out.letResults.emplace_back(lets[i]->numEntries(),
-                                        lets[i]->result());
-            out.litResults.emplace_back(lits[i]->numEntries(),
-                                        lits[i]->result());
-        }
-        if (opts.checkReplay) {
-            for (size_t i = 0; i < lets.size(); ++i) {
-                checkMeterMatch("LET", name, lets[i]->numEntries(),
-                                liveLets[i]->result(), lets[i]->result());
-                checkMeterMatch("LIT", name, lits[i]->numEntries(),
-                                liveLits[i]->result(), lits[i]->result());
-            }
-        }
-    }
-    if (flags.ideal) {
-        out.idealTpc = ideal.tpc();
-        // Figure 5 pairs the full run with a truncated prefix to show
-        // the behaviour is stable; replay the recorded control stream
-        // over the first half instead of re-executing the workload.
-        IdealTpcComputer prefix;
-        LoopDetector prefixDet({opts.clsEntries});
-        prefixDet.addListener(&prefix);
-        replayControlTrace(ctrace, prefixDet, out.totalInstrs / 2);
-        out.idealTpcPrefix = prefix.tpc();
-        if (opts.checkReplay) {
-            IdealTpcComputer direct;
-            Program prog2 = buildWorkload(name, opts.scale);
-            tracePass(prog2, out.totalInstrs / 2, opts.clsEntries,
-                      {&direct});
-            if (direct.tpc() != prefix.tpc() ||
-                direct.idealCycles() != prefix.idealCycles()) {
-                fatal("%s: prefix replay mismatch: direct TPC %.17g vs "
-                      "replay %.17g",
-                      name.c_str(), direct.tpc(), prefix.tpc());
-            }
-        }
-    }
-    if (!flags.predictors.empty()) {
+    if (!flags.predictors.empty())
         out.predictorStats = predictorMeter.results();
-        if (opts.checkReplay) {
-            // The meters read only pc/kind/taken — fields the control
-            // trace records exactly — so a replay-fed meter bank must
-            // be indistinguishable, final table state included.
-            PredictorMeter replayMeter(flags.predictors);
-            replayControlTrace(ctrace, replayMeter);
-            std::vector<PredictorMeterResult> derived =
-                replayMeter.results();
-            for (size_t i = 0; i < derived.size(); ++i) {
-                const PredictorMeterResult &a = out.predictorStats[i];
-                const PredictorMeterResult &b = derived[i];
-                if (a.lookups != b.lookups || a.hits != b.hits ||
-                    a.stateHash != b.stateHash) {
-                    fatal("%s: predictor %s replay mismatch: live "
-                          "%llu/%llu hash %016llx vs replay %llu/%llu "
-                          "hash %016llx",
-                          name.c_str(),
-                          predictorName(a.config).c_str(),
-                          static_cast<unsigned long long>(a.hits),
-                          static_cast<unsigned long long>(a.lookups),
-                          static_cast<unsigned long long>(a.stateHash),
-                          static_cast<unsigned long long>(b.hits),
-                          static_cast<unsigned long long>(b.lookups),
-                          static_cast<unsigned long long>(b.stateHash));
-                }
-            }
-        }
-    }
+
+    // --- Derive: one step, whichever source ran ---------------------
+    deriveFromRecording(recording, flags, &out);
+    if (opts.checkReplay)
+        checkDerived(name, opts, flags, ctrace, recording, live, out);
+
     if (flags.recording)
         out.recording = std::move(recording);
     if (flags.dataSpec)
@@ -492,7 +408,6 @@ runWorkload(const std::string &name, const RunOptions &opts,
         out.memTrace = memRecorder.take();
     if (flags.controlTrace)
         out.controlTrace = std::move(ctrace);
-
     return out;
 }
 

@@ -1,18 +1,19 @@
 /**
  * @file
  * Shared experiment driver: builds a workload, executes the functional
- * simulator ONCE through the loop detector with the listeners an
- * experiment needs, and derives every dependent configuration by replay —
- * the LET/LIT table-size sweep replays the recorded loop-event stream,
- * the Figure-5 prefix rerun replays the recorded control-event trace.
- * Every bench binary (one per paper table/figure) is a thin layer over
- * this.
+ * simulator ONCE through the loop detector (or streams an exported trace
+ * container in its place), recording the loop-event stream, and derives
+ * every loop-event artifact from that recording by windowed replay —
+ * Table 1, the LET/LIT table-size sweep of Figure 4, and the ideal TPC
+ * of Figure 5 over the whole trace and over its first half. Every bench
+ * binary (one per paper table/figure) is a thin layer over this.
  */
 
 #ifndef LOOPSPEC_HARNESS_RUNNER_HH
 #define LOOPSPEC_HARNESS_RUNNER_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "speculation/sweep.hh"
 #include "tables/hit_ratio.hh"
 #include "trace_io/container.hh"
+#include "trace_io/replay_source.hh"
 #include "tracegen/control_trace.hh"
 #include "util/cli.hh"
 #include "workloads/workload.hh"
@@ -40,8 +42,9 @@ struct RunOptions
     size_t clsEntries = 16;
     uint64_t maxInstrs = 0; //!< trace truncation (0 = run to Halt)
     bool csv = false;
-    /** Cross-check every replay-derived artifact against a direct
-     *  execution of the same configuration; fatal() on any mismatch. */
+    /** Cross-check every artifact derived from the recording against a
+     *  direct computation (listeners riding the pass, a direct detection
+     *  over the Figure-5 prefix); fatal() on any mismatch. */
     bool checkReplay = false;
     /** Thread-pool width for sweeps and parallel workload runs
      *  (0 = one per hardware thread, 1 = fully serial). Results are
@@ -77,7 +80,7 @@ struct CollectFlags
 {
     bool loopStats = false;
     bool hitRatios = false; //!< LET/LIT meters at 2/4/8/16 entries
-    bool ideal = false;     //!< infinite-TU TPC (plus half-prefix rerun)
+    bool ideal = false;     //!< infinite-TU TPC, whole trace and half
     bool recording = false; //!< event recording for the TU simulator
     bool dataSpec = false;  //!< §4 profiler
     /** Annotate the recording with per-iteration live-in correctness
@@ -95,7 +98,7 @@ struct CollectFlags
     /** Branch-predictor accuracy meters riding the functional pass
      *  (one per configuration; docs/PREDICTORS.md). Under
      *  --check-replay each meter is re-derived by control-trace replay
-     *  and must match the live one bit-for-bit. */
+     *  and must match the pass's one bit-for-bit. */
     std::vector<PredictorConfig> predictors;
 };
 
@@ -148,6 +151,20 @@ void writeSweepJsonFile(const std::string &path, const SweepResult &result,
 
 /** The table sizes Figure 4 sweeps. */
 const std::vector<size_t> &hitRatioTableSizes();
+
+/**
+ * Record the detector at each of @p cls_sizes over one control stream in
+ * a single walk: @p make_source wraps each size's detector in a source
+ * over the same stream (an in-memory trace or a streamed container), and
+ * the sources advance chunk by chunk in lockstep (interleaveReplay), so
+ * every chunk of trace bytes is pulled through the cache once. Returns ""
+ * with one recording per size, or the first source error.
+ */
+std::string
+recordAtClsSizes(const std::vector<size_t> &cls_sizes,
+                 const std::function<std::unique_ptr<ReplaySource>(
+                     TraceObserver &)> &make_source,
+                 std::vector<LoopEventRecording> *recordings);
 
 /**
  * Run @p name once and write its control trace as a binary container

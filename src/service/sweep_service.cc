@@ -7,7 +7,6 @@
 #include "dataspec/conflict_profiler.hh"
 #include "harness/runner.hh"
 #include "loop/cls.hh"
-#include "loop/loop_detector.hh"
 #include "speculation/ideal_tpc.hh"
 #include "trace_io/replay_source.hh"
 #include "trace_io/trace_codec.hh"
@@ -195,9 +194,10 @@ SweepService::materializeWorkload(
     // directly and the replay stage below has nothing left to do.
     const bool pass_recording = need_data && !missing.empty();
 
-    // Rows-only grids still need totalInstrs, which the trace carries.
-    const bool need_trace = grid.ideal || !cells ||
-                            (!missing.empty() && !pass_recording);
+    // Rows-only grids still need totalInstrs, which the trace carries;
+    // their ideal rows need a recording per CLS, derived from it too.
+    const bool need_trace =
+        !cells || (!missing.empty() && !pass_recording);
 
     std::shared_ptr<const CachedControlTrace> ct;
     const std::string tkey = RecordingCache::traceKey(
@@ -296,94 +296,63 @@ SweepService::materializeWorkload(
 
     // 3. Derive every missing recording in ONE interleaved replay walk
     // (chunk-lockstep across CLS sizes, like runSpecSweep's stage 1),
-    // then freeze recording+index into the cache together.
+    // then freeze recording+index into the cache together. A rows-only
+    // ideal grid derives a recording per CLS the same way, uncached:
+    // its ideal rows are read off them below and they are freed.
+    std::vector<LoopEventRecording> uncached;
+    if (!cells && grid.ideal) {
+        for (size_t c = 0; c < num_c; ++c)
+            missing.push_back(c);
+    }
     if (!missing.empty()) {
-        struct DeriveState
-        {
-            LoopDetector det;
-            LoopEventRecorder rec;
-            explicit DeriveState(size_t cls_entries) : det({cls_entries})
-            {
-            }
-        };
-        std::vector<std::unique_ptr<DeriveState>> states;
-        std::vector<std::unique_ptr<ReplaySource>> sources;
-        std::vector<ReplaySource *> source_ptrs;
-        for (size_t c : missing) {
-            auto st = std::make_unique<DeriveState>(grid.clsSizes[c]);
-            st->det.addListener(&st->rec);
-            sources.push_back(std::make_unique<ControlTraceSource>(
-                ct->trace, st->det, grid.maxInstrs));
-            source_ptrs.push_back(sources.back().get());
-            states.push_back(std::move(st));
-        }
-        std::string err = interleaveReplay(source_ptrs);
+        std::vector<size_t> sizes;
+        for (size_t c : missing)
+            sizes.push_back(grid.clsSizes[c]);
+        std::vector<LoopEventRecording> derived;
+        std::string err = recordAtClsSizes(
+            sizes,
+            [&](TraceObserver &det) -> std::unique_ptr<ReplaySource> {
+                return std::make_unique<ControlTraceSource>(
+                    ct->trace, det, grid.maxInstrs);
+            },
+            &derived);
         if (!err.empty())
             return name + ": " + err;
         for (size_t i = 0; i < missing.size(); ++i) {
-            const size_t c = missing[i];
-            LoopEventRecording r = states[i]->rec.take();
+            LoopEventRecording &r = derived[i];
+            if (!cells) {
+                uncached.push_back(std::move(r));
+                continue;
+            }
             // Conflict annotations are CLS-dependent but replay-
             // derivable: the sidecar is one pass, the profile walk is
             // per recording (exactly runSpecSweep's stage 1).
             if (conflicts)
                 annotateConflicts(&r, profileConflicts(r, mt->trace));
-            (*recs)[c] = cache.putRecording(
+            (*recs)[missing[i]] = cache.putRecording(
                 RecordingCache::recordingKey(name, grid.scale.factor,
                                              grid.maxInstrs, src,
-                                             grid.clsSizes[c], ann),
+                                             grid.clsSizes[missing[i]],
+                                             ann),
                 std::make_shared<CachedRecording>(std::move(r)));
         }
     }
 
-    // 4. Ideal ∞-TU TPC per CLS: one full walk and one half-prefix
-    // walk over the shared trace. Replay-derived values are identical
-    // to the live pass's (the pipeline-equivalence guarantee), so the
-    // response cannot tell which path produced them.
-    std::vector<double> ideal_full(num_c, 0.0);
-    std::vector<double> ideal_prefix(num_c, 0.0);
-    if (grid.ideal) {
-        struct IdealState
-        {
-            LoopDetector det;
-            IdealTpcComputer ideal;
-            explicit IdealState(size_t cls_entries) : det({cls_entries})
-            {
-            }
-        };
-        for (int prefix = 0; prefix < 2; ++prefix) {
-            const uint64_t window =
-                prefix ? total / 2 : grid.maxInstrs;
-            std::vector<std::unique_ptr<IdealState>> states;
-            std::vector<std::unique_ptr<ReplaySource>> sources;
-            std::vector<ReplaySource *> source_ptrs;
-            for (size_t c = 0; c < num_c; ++c) {
-                auto st = std::make_unique<IdealState>(grid.clsSizes[c]);
-                st->det.addListener(&st->ideal);
-                sources.push_back(std::make_unique<ControlTraceSource>(
-                    ct->trace, st->det, window));
-                source_ptrs.push_back(sources.back().get());
-                states.push_back(std::move(st));
-            }
-            std::string err = interleaveReplay(source_ptrs);
-            if (!err.empty())
-                return name + ": " + err;
-            for (size_t c = 0; c < num_c; ++c) {
-                (prefix ? ideal_prefix : ideal_full)[c] =
-                    states[c]->ideal.tpc();
-            }
-        }
-    }
+    // 4. Ideal ∞-TU TPC per CLS: windowed replays of each recording,
+    // identical to runSpecSweep's rows (the response cannot tell which
+    // path produced them).
+    std::vector<IdealTpcPair> ideal(num_c);
+    for (size_t c = 0; grid.ideal && c < num_c; ++c)
+        ideal[c] = idealTpcPair(cells ? (*recs)[c]->recording
+                                      : uncached[c]);
 
     for (size_t c = 0; c < num_c; ++c) {
         SweepRow &row = (*rows)[c];
         row.workload = name;
         row.clsEntries = grid.clsSizes[c];
         row.totalInstrs = total;
-        if (grid.ideal) {
-            row.idealTpc = ideal_full[c];
-            row.idealTpcPrefix = ideal_prefix[c];
-        }
+        row.idealTpc = ideal[c].full;
+        row.idealTpcPrefix = ideal[c].prefix;
         if (need_report)
             row.dataSpec = dsrep->report;
     }

@@ -1,5 +1,6 @@
 #include "speculation/event_record.hh"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -276,12 +277,39 @@ dispatchLoopEvent(const LoopEventRec &e, uint32_t branch_addr,
 
 void
 replayLoopEvents(const LoopEventRecording &recording,
-                 const std::vector<LoopListener *> &listeners)
+                 const std::vector<LoopListener *> &listeners,
+                 uint64_t window)
 {
+    const uint64_t end = std::min(window, recording.totalInstrs);
+
+    // Counting listeners get instruction p credited before the events
+    // at p, as the detector forwards it before dispatching it.
+    std::vector<LoopListener *> counters;
+    for (auto *l : listeners) {
+        LOOPSPEC_ASSERT(!l->consumesInstrs() || !l->readsSpanRecords(),
+                        "replay has no instruction records to deliver");
+        if (l->consumesInstrs())
+            counters.push_back(l);
+    }
+    uint64_t credited = 0;
+    const auto credit = [&](uint64_t upto) {
+        for (auto *l : counters)
+            if (upto > credited)
+                l->onInstrSpan(nullptr, upto - credited);
+        credited = std::max(credited, upto);
+    };
+
+    // The CLS as the events leave it, as (ExecStart, current iteration)
+    // pairs; slot i holds the execution at depth i + 1.
+    std::vector<std::pair<LoopEventRec, uint32_t>> open;
+
     // ExecStart events pair 1:1, in order, with recording.execs — that
     // record supplies the fields the compact event stream omits.
     size_t next_exec = 0;
     for (const LoopEventRec &e : recording.loopEvents) {
+        if (e.pos >= end)
+            break; // positions never decrease
+        credit(e.pos + 1);
         uint32_t branch_addr = 0;
         uint64_t parent_exec_id = 0;
         if (e.kind == LoopEventKind::ExecStart) {
@@ -290,11 +318,34 @@ replayLoopEvents(const LoopEventRecording &recording,
             const ExecRecord &r = recording.execs[next_exec++];
             branch_addr = r.branchAddr;
             parent_exec_id = r.parentExecId;
+            open.emplace_back(e, 0);
+        } else if (e.kind == LoopEventKind::IterStart) {
+            open.at(e.depth - 1).second = e.aux;
+        } else if (e.kind == LoopEventKind::ExecEnd) {
+            auto it = std::find_if(open.begin(), open.end(),
+                                   [&](const auto &o) {
+                                       return o.first.execId == e.execId;
+                                   });
+            LOOPSPEC_ASSERT(it != open.end(), "ExecEnd for a closed exec");
+            open.erase(it);
         }
         dispatchLoopEvent(e, branch_addr, parent_exec_id, listeners);
     }
+    credit(end);
+
+    // The detector's trace-end flush at the window, innermost first.
+    for (size_t i = open.size(); i-- > 0;) {
+        const LoopEventRec &x = open[i].first;
+        const uint32_t iter = open[i].second;
+        const uint32_t depth = static_cast<uint32_t>(i + 1);
+        for (auto *l : listeners)
+            l->onIterEnd({end, x.execId, x.loop, iter, depth});
+        for (auto *l : listeners)
+            l->onExecEnd(
+                {end, x.execId, x.loop, iter, ExecEndReason::TraceEnd});
+    }
     for (auto *l : listeners)
-        l->onTraceDone(recording.totalInstrs);
+        l->onTraceDone(end);
 }
 
 namespace

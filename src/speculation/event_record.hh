@@ -170,15 +170,29 @@ struct LoopEventRecording
  */
 std::string deriveRecordingEvents(LoopEventRecording &rec);
 
+/** replayLoopEvents' default window: the whole recording. */
+constexpr uint64_t kWholeRecording = UINT64_MAX;
+
 /**
- * Replay the recorded loop-event stream into @p listeners in emission
- * order, finishing with onTraceDone. Per-instruction callbacks are not
- * replayed: this derives every artifact that consumes loop events only
- * (the LET/LIT hit meters of Figure 4, nest-aware replacement ablations)
- * from one functional pass, bit-identically to a live pass.
+ * Replay the recorded loop-event stream into @p listeners as a detector
+ * run over the first @p window instructions of the trace would have
+ * delivered it (window clamped to the recording's length), finishing
+ * with onTraceDone(window). The detector is causal, so that run's events
+ * are exactly the recorded events before position @p window, followed by
+ * a TraceEnd close-out of the loops still open there; the recorded
+ * close-out (at position totalInstrs) is dropped and rebuilt at the
+ * window, innermost loop first.
+ *
+ * Listeners that consume instructions receive synthesized
+ * (nullptr, count) spans between events, so the counting listeners
+ * (Table-1 statistics, the ideal-TPC model) derive bit-identical
+ * results; a listener that reads span records cannot be replayed and
+ * is rejected. Event-only listeners (the LET/LIT meters, the recorder)
+ * see the callbacks of a live pass.
  */
 void replayLoopEvents(const LoopEventRecording &recording,
-                      const std::vector<LoopListener *> &listeners);
+                      const std::vector<LoopListener *> &listeners,
+                      uint64_t window = kWholeRecording);
 
 /**
  * Deliver one recorded event to @p listeners — the dispatch step of

@@ -99,4 +99,14 @@ IdealTpcComputer::tpc() const
                   : 0.0;
 }
 
+IdealTpcPair
+idealTpcPair(const LoopEventRecording &recording)
+{
+    IdealTpcComputer full, prefix;
+    replayLoopEvents(recording, {&full});
+    replayLoopEvents(recording, {&prefix},
+                     idealPrefixWindow(recording.totalInstrs));
+    return {full.tpc(), prefix.tpc()};
+}
+
 } // namespace loopspec

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "loop/loop_event.hh"
+#include "speculation/event_record.hh"
 
 namespace loopspec
 {
@@ -66,6 +67,27 @@ class IdealTpcComputer : public LoopListener
     uint64_t instrs = 0;
     bool done = false;
 };
+
+/**
+ * Figure 5's window: the paper pairs the whole trace with its first
+ * 10^9 instructions; we pair it with its first half.
+ */
+constexpr uint64_t
+idealPrefixWindow(uint64_t total_instrs)
+{
+    return total_instrs / 2;
+}
+
+/** Figure 5's pair of ideal ∞-TU TPCs over one recording. */
+struct IdealTpcPair
+{
+    double full = 0.0;   //!< whole trace
+    double prefix = 0.0; //!< first idealPrefixWindow() instructions
+};
+
+/** Both Figure-5 values by windowed replay of @p recording — equal to
+ *  running the detector over each window (replayLoopEvents). */
+IdealTpcPair idealTpcPair(const LoopEventRecording &recording);
 
 } // namespace loopspec
 

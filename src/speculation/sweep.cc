@@ -9,7 +9,6 @@
 #include "dataspec/conflict_profiler.hh"
 #include "harness/runner.hh"
 #include "loop/cls.hh"
-#include "loop/loop_detector.hh"
 #include "speculation/ideal_tpc.hh"
 #include "speculation/spec_sim.hh"
 #include "trace_io/replay_source.hh"
@@ -201,18 +200,26 @@ SweepResult::meanHitPct(size_t p, size_t t, size_t c, size_t l) const
 namespace
 {
 
-/** --check-replay support: a control-trace-derived recording must be
- *  indistinguishable from one recorded on a direct functional pass. */
+/** --check-replay support: a control-trace-derived recording, and the
+ *  ideal rows replayed from it, must be indistinguishable from a direct
+ *  functional pass at the same CLS size (which, run with checkReplay,
+ *  cross-checks its own derivations too). */
 void
-checkDerivedRecording(const std::string &workload, size_t cls,
-                      const LoopEventRecording &direct,
-                      const LoopEventRecording &derived)
+checkDerivedCls(const std::string &workload, size_t cls,
+                const WorkloadArtifacts &direct,
+                const LoopEventRecording &derived, const SweepRow &row)
 {
-    std::string err = compareRecordings(direct, derived);
+    std::string err = compareRecordings(direct.recording, derived);
     if (!err.empty()) {
         fatal("%s: recording derived at CLS %zu diverges from a direct "
               "functional pass: %s",
               workload.c_str(), cls, err.c_str());
+    }
+    if (direct.idealTpc != row.idealTpc ||
+        direct.idealTpcPrefix != row.idealTpcPrefix) {
+        fatal("%s: ideal TPC derived at CLS %zu diverges from a direct "
+              "functional pass",
+              workload.c_str(), cls);
     }
 }
 
@@ -540,116 +547,58 @@ runSpecSweep(const SweepGrid &grid, unsigned jobs)
         if (cells)
             recordings[w * num_c] = std::move(art.recording);
 
-        // Trace-dir mode re-streams the container per derived size
-        // (each pump keeps its own bounded-buffer cursor over the
-        // shared fd) rather than materializing the transfers in memory.
-        std::unique_ptr<TraceFileStreamer> streamer;
-        if (derive_cls && from_traces) {
-            std::string err;
-            streamer = TraceFileStreamer::open(
-                traceFilePath(grid.traceDir, grid.workloads[w],
-                              kControlTraceExt),
-                StreamConfig{}, &err);
-            if (!streamer)
-                fatal("%s", err.c_str());
-        }
-
-        // All derived CLS sizes replay the *same* recorded control
-        // stream, so instead of N-1 sequential full passes the sources
-        // advance round-robin in fixed-size chunks (interleaveReplay):
-        // each chunk of trace bytes is pulled through the cache once
-        // and consumed by every derived detector while still resident.
-        // Per-source artifacts are bit-identical to sequential replay.
-        struct DerivedState
-        {
-            LoopDetector det;
-            LoopEventRecorder rec;
-            IdealTpcComputer ideal;
-            explicit DerivedState(size_t cls_entries)
-                : det({cls_entries})
-            {
+        if (derive_cls) {
+            // Every further size re-walks the pass's control stream in
+            // one interleaved walk. Trace-dir mode re-streams the
+            // container (its pumps keep their own bounded-buffer cursors
+            // over the shared fd) rather than materializing it.
+            std::unique_ptr<TraceFileStreamer> streamer;
+            if (from_traces) {
+                std::string err;
+                streamer = TraceFileStreamer::open(
+                    traceFilePath(grid.traceDir, grid.workloads[w],
+                                  kControlTraceExt),
+                    StreamConfig{}, &err);
+                if (!streamer)
+                    fatal("%s", err.c_str());
             }
-        };
-        const auto interleave = [&](const std::vector<ReplaySource *>
-                                        &sources) {
-            std::string err = interleaveReplay(sources);
+            std::vector<LoopEventRecording> derived;
+            std::string err = recordAtClsSizes(
+                {grid.clsSizes.begin() + 1, grid.clsSizes.end()},
+                [&](TraceObserver &det) -> std::unique_ptr<ReplaySource> {
+                    if (from_traces)
+                        return std::make_unique<StreamedControlSource>(
+                            *streamer, det, grid.maxInstrs);
+                    return std::make_unique<ControlTraceSource>(
+                        art.controlTrace, det);
+                },
+                &derived);
             if (!err.empty())
                 fatal("%s", err.c_str());
-        };
-        if (derive_cls) {
-            std::vector<std::unique_ptr<DerivedState>> states;
-            std::vector<std::unique_ptr<ReplaySource>> sources;
-            std::vector<ReplaySource *> source_ptrs;
-            for (size_t c = 1; c < num_c; ++c) {
-                auto st =
-                    std::make_unique<DerivedState>(grid.clsSizes[c]);
-                if (cells)
-                    st->det.addListener(&st->rec);
-                if (grid.ideal)
-                    st->det.addListener(&st->ideal);
-                if (from_traces)
-                    sources.push_back(
-                        std::make_unique<StreamedControlSource>(
-                            *streamer, st->det, grid.maxInstrs));
-                else
-                    sources.push_back(
-                        std::make_unique<ControlTraceSource>(
-                            art.controlTrace, st->det));
-                source_ptrs.push_back(sources.back().get());
-                states.push_back(std::move(st));
-            }
-            interleave(source_ptrs);
 
+            // The ideal rows are windowed replays of each recording.
             for (size_t c = 1; c < num_c; ++c) {
                 SweepRow &row = out.rows[w * num_c + c];
-                DerivedState &st = *states[c - 1];
-                if (cells) {
-                    recordings[w * num_c + c] = st.rec.take();
-                    if (grid.checkReplay) {
-                        RunOptions direct = opts;
-                        direct.clsEntries = grid.clsSizes[c];
-                        direct.checkReplay = false;
-                        CollectFlags rec_only;
-                        rec_only.recording = true;
-                        checkDerivedRecording(
-                            grid.workloads[w], grid.clsSizes[c],
-                            runWorkload(grid.workloads[w], direct,
-                                        rec_only)
-                                .recording,
-                            recordings[w * num_c + c]);
-                    }
+                LoopEventRecording &rec = derived[c - 1];
+                if (grid.ideal) {
+                    const IdealTpcPair ideal = idealTpcPair(rec);
+                    row.idealTpc = ideal.full;
+                    row.idealTpcPrefix = ideal.prefix;
                 }
-                if (grid.ideal)
-                    row.idealTpc = st.ideal.tpc();
-            }
-
-            // Half-trace prefix replays (Figure 8's convergence check)
-            // interleave the same way.
-            if (grid.ideal) {
-                std::vector<std::unique_ptr<DerivedState>> pstates;
-                std::vector<std::unique_ptr<ReplaySource>> psources;
-                std::vector<ReplaySource *> psource_ptrs;
-                for (size_t c = 1; c < num_c; ++c) {
-                    auto st =
-                        std::make_unique<DerivedState>(grid.clsSizes[c]);
-                    st->det.addListener(&st->ideal);
-                    if (from_traces)
-                        psources.push_back(
-                            std::make_unique<StreamedControlSource>(
-                                *streamer, st->det,
-                                art.totalInstrs / 2));
-                    else
-                        psources.push_back(
-                            std::make_unique<ControlTraceSource>(
-                                art.controlTrace, st->det,
-                                art.totalInstrs / 2));
-                    psource_ptrs.push_back(psources.back().get());
-                    pstates.push_back(std::move(st));
+                if (grid.checkReplay) {
+                    RunOptions direct = opts;
+                    direct.clsEntries = grid.clsSizes[c];
+                    CollectFlags direct_flags;
+                    direct_flags.recording = true;
+                    direct_flags.ideal = grid.ideal;
+                    checkDerivedCls(
+                        grid.workloads[w], grid.clsSizes[c],
+                        runWorkload(grid.workloads[w], direct,
+                                    direct_flags),
+                        rec, row);
                 }
-                interleave(psource_ptrs);
-                for (size_t c = 1; c < num_c; ++c)
-                    out.rows[w * num_c + c].idealTpcPrefix =
-                        pstates[c - 1]->ideal.tpc();
+                if (cells)
+                    recordings[w * num_c + c] = std::move(rec);
             }
         }
 

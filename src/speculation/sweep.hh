@@ -97,7 +97,8 @@ struct SweepGrid
      *  (SpecConfig::dataSquashCycles, the `datacost=` axis). */
     unsigned dataSquashCycles = 0;
 
-    /** Collect the ideal ∞-TU TPC and its half-prefix rerun per row. */
+    /** Collect the ideal ∞-TU TPC over the whole trace and over its
+     *  first half per row (windowed replays of each CLS's recording). */
     bool ideal = false;
     /** Collect the §4 data-speculation report per row (single-CLS). */
     bool dataSpec = false;
@@ -112,7 +113,7 @@ struct SweepGrid
      * directory instead of executing the workloads (RunOptions::traceDir):
      * each workload name resolves to <traceDir>/<name>.lstrace, the
      * functional pass becomes an out-of-core streaming replay, and the
-     * derived-CLS / prefix reruns re-stream the same file instead of
+     * derived-CLS recordings re-stream the same file instead of
      * buffering a materialized ControlTrace. Grids needing operand values
      * (dataSpec, needsDataCorrectness) are fatal in this mode.
      */

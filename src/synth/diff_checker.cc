@@ -17,6 +17,7 @@
 #include "loop/loop_stats.hh"
 #include "predict/predictor_meter.hh"
 #include "speculation/event_record.hh"
+#include "speculation/ideal_tpc.hh"
 #include "tables/hit_ratio.hh"
 #include "trace_io/crc32.hh"
 #include "trace_io/replay_source.hh"
@@ -891,6 +892,67 @@ checkPredictorState(const std::vector<std::string> &specs,
     return {};
 }
 
+/**
+ * Windowed-replay oracle: for each window W, replayLoopEvents over the
+ * first W instructions of @p recording must match a scalar-fed detector
+ * run over stream[0, W) — re-recording, LoopStatsReport and ideal
+ * cycles. An off-by-one in the rebuilt close-out (its order, depth or
+ * position, or the last instruction credit) shows up here.
+ */
+std::string
+checkWindowedReplay(const LoopEventRecording &recording,
+                    const std::vector<DynInstr> &stream, size_t cls)
+{
+    const uint64_t total = recording.totalInstrs;
+    if (total == 0)
+        return {};
+    Rng rng(total * 0x9e3779b97f4a7c15ull ^ cls);
+    for (uint64_t window : {total, total / 2, 1 + rng.below(total)}) {
+        if (window == 0)
+            continue;
+        LoopStats direct_stats;
+        IdealTpcComputer direct_ideal;
+        LoopEventRecorder direct_rec;
+        {
+            LoopDetector det({cls});
+            det.addListener(&direct_stats);
+            det.addListener(&direct_ideal);
+            det.addListener(&direct_rec);
+            for (uint64_t i = 0; i < window; ++i)
+                det.onInstr(stream[i]);
+            det.onTraceEnd(window);
+        }
+        LoopStats stats;
+        IdealTpcComputer ideal;
+        LoopEventRecorder rec;
+        replayLoopEvents(recording, {&stats, &ideal, &rec}, window);
+
+        const std::string what =
+            strprintf("windowed-replay W=%llu",
+                      static_cast<unsigned long long>(window));
+        std::string err = compareRecordings(direct_rec.take(), rec.take());
+        if (!err.empty())
+            return what + ": " + err;
+        err = compareStats(what.c_str(), direct_stats.report(),
+                           stats.report());
+        if (!err.empty())
+            return err;
+        if (direct_ideal.idealCycles() != ideal.idealCycles() ||
+            direct_ideal.totalInstrs() != ideal.totalInstrs()) {
+            return strprintf(
+                "%s: ideal cycles %llu over %llu instrs vs direct %llu "
+                "over %llu",
+                what.c_str(),
+                static_cast<unsigned long long>(ideal.idealCycles()),
+                static_cast<unsigned long long>(ideal.totalInstrs()),
+                static_cast<unsigned long long>(direct_ideal.idealCycles()),
+                static_cast<unsigned long long>(
+                    direct_ideal.totalInstrs()));
+        }
+    }
+    return {};
+}
+
 } // namespace
 
 DiffResult
@@ -1146,6 +1208,15 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
             err = compareRecordings(recording, recorder_d.take());
         if (!err.empty())
             return DiffResult::fail(tag + ": " + err);
+
+        // (D1) Windowed replay: replaying the recording over its first
+        // W instructions must equal detection over those instructions —
+        // the re-recording, Table-1 statistics and ideal cycles alike —
+        // at the whole trace, its half (Figure 5's prefix) and a window
+        // seeded by the program's length.
+        err = checkWindowedReplay(recording, scalar.all, cls);
+        if (!err.empty())
+            return DiffResult::fail(tag + " " + err);
 
         // (D2) Disk round-trip + corruption-rejection oracle. The
         // container codecs are CLS-independent, so one pass (at the

@@ -18,6 +18,9 @@
  *    sources (trace_io/replay_source.hh);
  *  - replaying a LoopEventRecording must reproduce the events, the
  *    Fig-4 meter artifacts, and a re-recorded recording exactly;
+ *  - replaying it over its first W instructions (windowed replay, at W =
+ *    N, N/2 and a seeded W) must equal detection over those W
+ *    instructions: re-recording, Table-1 statistics and ideal cycles;
  *  - Table-1 statistics must agree across every path;
  *  - detector invariants must hold on the reference stream (conservation,
  *    iteration-count/backedge accounting, event ordering, depth bounds);

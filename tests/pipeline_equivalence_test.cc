@@ -539,6 +539,74 @@ TEST(ControlReplay, PrefixTruncationMatchesDirectTruncatedRun)
     EXPECT_EQ(ideal.tpc(), direct.idealTpc);
 }
 
+/** Artifacts + re-recording of a windowed loop-event replay. */
+std::pair<Artifacts, LoopEventRecording>
+replayWindow(const LoopEventRecording &rec, uint64_t window)
+{
+    LoopStats stats;
+    IdealTpcComputer ideal;
+    LoopEventRecorder rerecorder;
+    std::vector<std::unique_ptr<LetHitMeter>> lets;
+    std::vector<std::unique_ptr<LitHitMeter>> lits;
+    std::vector<LoopListener *> listeners = {&stats, &ideal, &rerecorder};
+    for (size_t sz : hitRatioTableSizes()) {
+        lets.push_back(std::make_unique<LetHitMeter>(sz));
+        lits.push_back(std::make_unique<LitHitMeter>(sz));
+        listeners.push_back(lets.back().get());
+        listeners.push_back(lits.back().get());
+    }
+    replayLoopEvents(rec, listeners, window);
+    Artifacts out;
+    out.stats = stats.report();
+    out.idealTpc = ideal.tpc();
+    for (size_t i = 0; i < lets.size(); ++i) {
+        out.meters.emplace_back(lets[i]->result().accesses,
+                                lets[i]->result().hits);
+        out.meters.emplace_back(lits[i]->result().accesses,
+                                lits[i]->result().hits);
+    }
+    return {out, rerecorder.take()};
+}
+
+TEST(WindowedReplay, MatchesDirectDetectionOverEveryWindow)
+{
+    // The detector is causal: a recording cut at W, with the trace-end
+    // close-out rebuilt from the loops open there, is the detection of
+    // the first W instructions — Table 1, the ideal TPC, the meters and
+    // the re-recording alike. Windows: the whole trace, Figure 5's half,
+    // an odd cut, and both ends.
+    for (const char *name : {"compress", "li", "synth.nest",
+                             "synth.irregular", "synth.calls"}) {
+        SCOPED_TRACE(name);
+        Program p = buildWorkload(name, {kScale});
+        for (size_t cls : {2u, 4u, 16u}) {
+            SCOPED_TRACE(cls);
+            const LoopEventRecording rec = recordOnce(p, cls).second;
+            const uint64_t n = rec.totalInstrs;
+            ASSERT_GT(n, 2u);
+            for (uint64_t w : {n, n / 2, n / 3 + 7, uint64_t{1}, n - 1}) {
+                SCOPED_TRACE(w);
+                auto [got, rerecorded] = replayWindow(rec, w);
+                expectSameArtifacts(got, collect(p, cls, w, false));
+                EXPECT_EQ(compareRecordings(recordOnce(p, cls, w).second,
+                                            rerecorded),
+                          "");
+            }
+        }
+    }
+}
+
+TEST(WindowedReplayDeathTest, RecordReadingListenerIsRejected)
+{
+    // Replay synthesizes spans as counts only; a listener that reads
+    // the instruction records has nothing to read.
+    Program p = buildWorkload("compress", {kScale});
+    const LoopEventRecording rec = recordOnce(p, 16).second;
+    test::CaptureListener reads_records;
+    EXPECT_DEATH(replayLoopEvents(rec, {&reads_records}),
+                 "no instruction records");
+}
+
 TEST(ControlReplay, SaveLoadRoundTrip)
 {
     Program p = buildWorkload("li", {kScale});
