@@ -62,8 +62,6 @@ class BimodalPredictor : public BranchPredictor
         return h;
     }
 
-    size_t tableEntries() const override { return table.size(); }
-
   private:
     uint32_t
     index(uint32_t pc) const

@@ -146,9 +146,6 @@ class BranchPredictor
      * instances through this.
      */
     virtual uint64_t stateHash() const = 0;
-
-    /** Counter-table entries (for table/memory accounting). */
-    virtual size_t tableEntries() const = 0;
 };
 
 /** Build a predictor from its configuration. */

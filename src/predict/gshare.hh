@@ -83,8 +83,6 @@ class GsharePredictor : public BranchPredictor
         return h;
     }
 
-    size_t tableEntries() const override { return table.size(); }
-
   private:
     uint32_t
     index(uint32_t pc, uint32_t hist) const

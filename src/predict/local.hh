@@ -83,8 +83,6 @@ class LocalHistoryPredictor : public BranchPredictor
         return h;
     }
 
-    size_t tableEntries() const override { return pattern.size(); }
-
   private:
     uint32_t
     l1Index(uint32_t pc) const

@@ -106,8 +106,6 @@ class StrideRunPredictor : public BranchPredictor
         return h;
     }
 
-    size_t tableEntries() const override { return table.size(); }
-
   private:
     struct Entry
     {

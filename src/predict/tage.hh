@@ -232,12 +232,6 @@ class TageRunLengthPredictor : public BranchPredictor
         return h;
     }
 
-    size_t
-    tableEntries() const override
-    {
-        return (1 + tables.size()) * baseLen.size();
-    }
-
   private:
     struct TaggedEntry
     {

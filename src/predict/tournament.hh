@@ -96,12 +96,6 @@ class TournamentPredictor : public BranchPredictor
         return h;
     }
 
-    size_t
-    tableEntries() const override
-    {
-        return chooser.size() + a->tableEntries() + b->tableEntries();
-    }
-
   private:
     uint32_t
     index(uint32_t pc) const

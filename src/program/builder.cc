@@ -365,16 +365,6 @@ ProgramBuilder::countedLoop(Reg idx, Reg bound, const BodyFn &body,
 }
 
 void
-ProgramBuilder::countedLoopImm(Reg idx, int64_t lo, Reg scratch,
-                               int64_t bound, const BodyFn &body,
-                               int64_t step)
-{
-    li(idx, lo);
-    li(scratch, bound);
-    countedLoop(idx, scratch, body, step);
-}
-
-void
 ProgramBuilder::whileLoop(const CondFn &cond, const BodyFn &body)
 {
     LoopCtx ctx{newLabel(), newLabel()};

@@ -154,10 +154,6 @@ class ProgramBuilder
     void countedLoop(Reg idx, Reg bound, const BodyFn &body,
                      int64_t step = 1);
 
-    /** countedLoop with idx initialised to @p lo and immediate bound. */
-    void countedLoopImm(Reg idx, int64_t lo, Reg scratch, int64_t bound,
-                        const BodyFn &body, int64_t step = 1);
-
     /**
      * While-style loop: @p cond emits instructions that branch to the exit
      * label when the loop should stop; the loop closes with a backward

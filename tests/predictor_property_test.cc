@@ -565,7 +565,6 @@ class ConstPredictor : public BranchPredictor
     void update(uint32_t, bool) override {}
     void reset() override {}
     uint64_t stateHash() const override { return dir ? 2 : 1; }
-    size_t tableEntries() const override { return 1; }
 
   private:
     bool dir;
