@@ -11,6 +11,7 @@
 #ifndef LOOPSPEC_WORKLOADS_WORKLOAD_HH
 #define LOOPSPEC_WORKLOADS_WORKLOAD_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,12 +29,16 @@ struct WorkloadScale
 {
     double factor = 1.0;
 
-    /** Scale an outer repetition count (at least 1). */
+    /** Scale an outer repetition count: at least 1, at most INT64_MAX
+     *  (the count becomes a signed immediate; a product past the range
+     *  saturates instead of making the conversion undefined). */
     uint64_t
     reps(uint64_t base) const
     {
         double v = static_cast<double>(base) * factor;
-        return v < 1.0 ? 1 : static_cast<uint64_t>(v);
+        if (v < 1.0)
+            return 1;
+        return v < 0x1p63 ? static_cast<uint64_t>(v) : INT64_MAX;
     }
 };
 

@@ -37,6 +37,21 @@ TEST(Workloads, RegistryHasAllEighteen)
     EXPECT_EQ(names.back(), "wave5");
 }
 
+TEST(WorkloadScale, RepsSaturateAtInt64Max)
+{
+    // Products past 2^63 saturate: the count becomes a signed immediate,
+    // and converting a double past 2^64 to an integer is undefined.
+    for (double factor : {1e19, 1e300}) {
+        SCOPED_TRACE(factor);
+        EXPECT_EQ(WorkloadScale{factor}.reps(1),
+                  static_cast<uint64_t>(INT64_MAX));
+        EXPECT_EQ(WorkloadScale{factor}.reps(40),
+                  static_cast<uint64_t>(INT64_MAX));
+    }
+    EXPECT_EQ(WorkloadScale{1.0}.reps(40), 40u);
+    EXPECT_EQ(WorkloadScale{1e-9}.reps(40), 1u);
+}
+
 TEST(Workloads, UnknownNameIsFatal)
 {
     EXPECT_DEATH((void)buildWorkload("specfp3000", {1.0}),
