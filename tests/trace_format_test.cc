@@ -369,5 +369,75 @@ TEST(TraceFormatStreaming, MassiveTraceReplaysWithinFixedMemoryBudget)
     EXPECT_LT(streamer->peakBufferBytes(), uint64_t{1} * 1024 * 1024);
 }
 
+// --------------------------------------------- live-in flags (§4) section
+
+TEST(TraceFormatIterDataOk, LiveInFlagsRoundTripAndTheirCrcIsChecked)
+{
+    // A dataCorrectness recording carries the optional RecIterDataOk
+    // section. Both encodings must bring the flags back bit-exact, the
+    // streaming reader must replay the file cleanly, and one flipped
+    // byte inside that section must fail both readers' CRC checks.
+    RunOptions opts;
+    opts.scale.factor = 0.05;
+    CollectFlags flags;
+    flags.dataCorrectness = true;
+    const LoopEventRecording rec =
+        runWorkload("compress", opts, flags).recording;
+    size_t flagged = 0, cleared = 0;
+    for (const ExecRecord &x : rec.execs) {
+        for (bool ok : x.iterDataOk)
+            ++(ok ? flagged : cleared);
+    }
+    ASSERT_GT(flagged, 0u);
+    ASSERT_GT(cleared, 0u);
+
+    test::ScratchDir scratch;
+    for (TraceEncoding enc : {TraceEncoding::Raw, TraceEncoding::Varint}) {
+        const bool raw = enc == TraceEncoding::Raw;
+        SCOPED_TRACE(raw ? "raw" : "varint");
+        const std::string path = traceFilePath(
+            scratch.path(), raw ? "live_raw" : "live_vz", kRecordingExt);
+        writeRecordingFile(path, rec, enc);
+
+        const LoopEventRecording back = readRecordingFile(path);
+        EXPECT_EQ(compareRecordings(rec, back), "");
+        ASSERT_EQ(back.execs.size(), rec.execs.size());
+        for (size_t i = 0; i < rec.execs.size(); ++i)
+            EXPECT_EQ(back.execs[i].iterDataOk, rec.execs[i].iterDataOk)
+                << "exec " << i;
+
+        std::string err;
+        auto streamer = TraceFileStreamer::open(path, {}, &err);
+        ASSERT_NE(streamer, nullptr) << err;
+        LoopEventRecorder rerecorder;
+        ASSERT_EQ(streamer->replayEvents({&rerecorder}), "");
+        EXPECT_EQ(compareRecordings(rec, rerecorder.take()), "");
+
+        std::vector<uint8_t> image;
+        ASSERT_EQ(readFileBytes(path, &image), "");
+        ContainerLayout layout;
+        ASSERT_EQ(parseContainer(image.data(), image.size(), &layout), "");
+        const SectionDesc *ok_sec = layout.find(SectionKind::RecIterDataOk);
+        ASSERT_NE(ok_sec, nullptr);
+        ASSERT_GT(ok_sec->byteSize, 0u);
+        image[ok_sec->offset + ok_sec->byteSize / 2] ^= 0x10;
+        const std::string bad = scratch.file(raw ? "bad_raw.lsrec"
+                                                 : "bad_vz.lsrec");
+        writeFileBytes(bad, image);
+
+        LoopEventRecording ignored;
+        err = loadRecordingFile(bad, &ignored);
+        EXPECT_NE(err.find("CRC mismatch"), std::string::npos) << err;
+        auto bad_streamer = TraceFileStreamer::open(bad, {}, &err);
+        ASSERT_NE(bad_streamer, nullptr) << err;
+        LoopEventRecorder unused;
+        err = bad_streamer->replayEvents({&unused});
+        const std::string section_crc = strprintf(
+            "section kind %u payload CRC mismatch",
+            static_cast<unsigned>(SectionKind::RecIterDataOk));
+        EXPECT_NE(err.find(section_crc), std::string::npos) << err;
+    }
+}
+
 } // namespace
 } // namespace loopspec
