@@ -166,7 +166,10 @@ deriveFromRecording(const LoopEventRecording &recording,
                     const CollectFlags &flags, WorkloadArtifacts *out)
 {
     Derived d;
-    replayLoopEvents(recording, d.listeners(flags));
+    const std::vector<LoopListener *> listeners = d.listeners(flags);
+    if (listeners.empty())
+        return;
+    replayLoopEvents(recording, listeners);
     if (flags.loopStats)
         out->loopStats = d.stats.report();
     for (size_t i = 0; i < d.lets.size(); ++i) {
