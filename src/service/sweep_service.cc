@@ -318,12 +318,10 @@ SweepService::materializeWorkload(
             &derived);
         if (!err.empty())
             return name + ": " + err;
-        for (size_t i = 0; i < missing.size(); ++i) {
+        if (!cells)
+            uncached = std::move(derived);
+        for (size_t i = 0; cells && i < missing.size(); ++i) {
             LoopEventRecording &r = derived[i];
-            if (!cells) {
-                uncached.push_back(std::move(r));
-                continue;
-            }
             // Conflict annotations are CLS-dependent but replay-
             // derivable: the sidecar is one pass, the profile walk is
             // per recording (exactly runSpecSweep's stage 1).

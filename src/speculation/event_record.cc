@@ -293,10 +293,11 @@ replayLoopEvents(const LoopEventRecording &recording,
     }
     uint64_t credited = 0;
     const auto credit = [&](uint64_t upto) {
+        if (upto <= credited)
+            return;
         for (auto *l : counters)
-            if (upto > credited)
-                l->onInstrSpan(nullptr, upto - credited);
-        credited = std::max(credited, upto);
+            l->onInstrSpan(nullptr, upto - credited);
+        credited = upto;
     };
 
     // The CLS as the events leave it, as (ExecStart, current iteration)
