@@ -323,12 +323,13 @@ replayLoopEvents(const LoopEventRecording &recording,
         } else if (e.kind == LoopEventKind::IterStart) {
             open.at(e.depth - 1).second = e.aux;
         } else if (e.kind == LoopEventKind::ExecEnd) {
-            auto it = std::find_if(open.begin(), open.end(),
-                                   [&](const auto &o) {
-                                       return o.first.execId == e.execId;
-                                   });
-            LOOPSPEC_ASSERT(it != open.end(), "ExecEnd for a closed exec");
-            open.erase(it);
+            // Normally the top entry; a middle or bottom one on
+            // overlapped exits and overflow.
+            size_t i = open.size();
+            while (i-- > 0 && open[i].first.execId != e.execId) {
+            }
+            LOOPSPEC_ASSERT(i < open.size(), "ExecEnd for a closed exec");
+            open.erase(open.begin() + static_cast<long>(i));
         }
         dispatchLoopEvent(e, branch_addr, parent_exec_id, listeners);
     }
