@@ -143,12 +143,13 @@ struct Derived
         std::vector<LoopListener *> out;
         if (flags.loopStats)
             out.push_back(&stats);
-        for (size_t sz : flags.hitRatios ? hitRatioTableSizes()
-                                         : std::vector<size_t>{}) {
-            lets.push_back(std::make_unique<LetHitMeter>(sz));
-            lits.push_back(std::make_unique<LitHitMeter>(sz));
-            out.push_back(lets.back().get());
-            out.push_back(lits.back().get());
+        if (flags.hitRatios) {
+            for (size_t sz : hitRatioTableSizes()) {
+                lets.push_back(std::make_unique<LetHitMeter>(sz));
+                lits.push_back(std::make_unique<LitHitMeter>(sz));
+                out.push_back(lets.back().get());
+                out.push_back(lits.back().get());
+            }
         }
         if (flags.ideal)
             out.push_back(&ideal);
