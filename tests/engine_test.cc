@@ -75,9 +75,18 @@ runAlu(Opcode op, int64_t a, int64_t b)
 
 struct AluCase
 {
+    AluCase(Opcode op_, int64_t a_, int64_t b_, int64_t expect_)
+        : op(op_), a(a_), b(b_), expect(expect_)
+    {
+    }
+
     Opcode op;
+    /** gtest names each case after the object's bytes; left implicit,
+     *  this padding holds stack leftovers and the names vary per run. */
+    uint8_t zeroPad[7] = {};
     int64_t a, b, expect;
 };
+static_assert(sizeof(AluCase) == 32, "AluCase must have no implicit padding");
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {

@@ -130,6 +130,14 @@ struct Band
     uint32_t maxNestLo, maxNestHi;
 };
 
+/** Names each band's test after its workload. gtest would otherwise dump
+ *  the object's bytes, whose first eight are the address of @c name. */
+void
+PrintTo(const Band &band, std::ostream *os)
+{
+    *os << band.name;
+}
+
 class WorkloadBands : public ::testing::TestWithParam<Band>
 {
 };
@@ -165,10 +173,7 @@ INSTANTIATE_TEST_SUITE_P(
         Band{"tomcatv", 75, 105, 35.0, 75.0, 3, 5},
         Band{"turb3d", 130, 180, 3.5, 7.0, 5, 7},
         Band{"vortex", 180, 240, 6.0, 16.0, 3, 6},
-        Band{"wave5", 170, 215, 40.0, 80.0, 3, 6}),
-    [](const ::testing::TestParamInfo<Band> &param_info) {
-        return std::string(param_info.param.name);
-    });
+        Band{"wave5", 170, 215, 40.0, 80.0, 3, 6}));
 
 TEST(WorkloadSuite, SwimHasTheLargestIterPerExec)
 {
