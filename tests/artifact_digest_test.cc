@@ -8,8 +8,11 @@
  * the Figure-5 ideal rows from runWorkloads, both executed in process and
  * streamed from exported trace containers; multi-CLS ideal=1 sweep JSON
  * (with and without simulator cells), live and from --trace-dir; and the
- * same grids served by a SweepServer over its socket. Every artifact is
- * regenerated at a pool width of 1 and of 4 and must hit the same digest.
+ * same grids served by a SweepServer over its socket; the predictor
+ * meters of bench_predict_cmp's default battery (live and from
+ * --trace-dir), the §4 DataSpecReport and a data-speculation sweep grid
+ * (live only: both read operand values). Every artifact is regenerated
+ * at a pool width of 1 and of 4 and must hit the same digest.
  *
  * The digests pin the artifacts across refactors of the derive path. A
  * change that is meant to move an artifact edits digests.txt by hand;
@@ -55,6 +58,13 @@ const unsigned kWidths[] = {1, 4};
 const char *const kCellsGrid =
     "cls=16,2,4,8,32;ideal=1;predictors=tournament:let+local;tus=4";
 const char *const kRowsGrid = "cls=16,2,4,8,32;ideal=1";
+/** The data-speculation benchmark's grid at one TU count. */
+const char *const kDataGrid =
+    "policies=str,str3;tus=4;dataspec=none,live,mem,all;datacost=20";
+/** bench_predict_cmp's default --predictors battery. */
+const char *const kPredictorBattery =
+    "bimodal:12,gshare:12,local:10/10,let:10,"
+    "tournament:let:10+local:10/10,tage:4/2-8";
 
 std::string
 fnvHex(const std::string &text)
@@ -160,6 +170,46 @@ idealText(const std::vector<WorkloadArtifacts> &arts)
     return out;
 }
 
+std::string
+predictorText(const std::vector<WorkloadArtifacts> &arts)
+{
+    std::string out;
+    for (const WorkloadArtifacts &a : arts) {
+        out += a.name;
+        for (const PredictorMeterResult &m : a.predictorStats) {
+            out += strprintf(" %s=%llu/%llu/%016llx",
+                             predictorName(m.config).c_str(),
+                             (unsigned long long)m.hits,
+                             (unsigned long long)m.lookups,
+                             (unsigned long long)m.stateHash);
+        }
+        out += "\n";
+    }
+    return out;
+}
+
+std::string
+dataSpecText(const std::vector<WorkloadArtifacts> &arts)
+{
+    std::string out;
+    for (const WorkloadArtifacts &a : arts) {
+        const DataSpecReport &r = a.dataSpec;
+        out += strprintf(
+            "%s %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu\n",
+            a.name.c_str(), (unsigned long long)r.itersEvaluated,
+            (unsigned long long)r.modalIters,
+            (unsigned long long)r.lrTotal,
+            (unsigned long long)r.lrCorrect,
+            (unsigned long long)r.lmTotal,
+            (unsigned long long)r.lmCorrect,
+            (unsigned long long)r.lmIters,
+            (unsigned long long)r.allLrIters,
+            (unsigned long long)r.allLmIters,
+            (unsigned long long)r.allDataIters);
+    }
+    return out;
+}
+
 /** Sweep JSON with the jobs echo fixed and the wall-clock block cut. */
 std::string
 sweepText(const SweepResult &result)
@@ -241,6 +291,57 @@ TEST(ArtifactDigest, SweepJsonMatchesCommittedDigests)
                                                 width)),
                          context);
         }
+    }
+}
+
+TEST(ArtifactDigest, PredictorMetersMatchCommittedDigests)
+{
+    test::ScratchDir traces;
+    std::vector<std::string> names = workloadNames();
+    for (const std::string &n : syntheticWorkloadNames())
+        names.push_back(n);
+    RunOptions export_opts;
+    export_opts.scale.factor = kScale;
+    for (const std::string &name : names)
+        exportWorkloadTrace(name, export_opts, traces.path(),
+                            TraceEncoding::Varint);
+
+    CollectFlags flags;
+    for (const std::string &spec : splitList(kPredictorBattery))
+        flags.predictors.push_back(parsePredictorSpec(spec));
+    for (const std::string source : {"live", "trace-dir"}) {
+        for (unsigned width : kWidths) {
+            RunOptions opts;
+            opts.scale.factor = kScale;
+            if (source == "trace-dir")
+                opts.traceDir = traces.path();
+            // The wide pass also re-derives every meter by replay.
+            opts.checkReplay = width > 1;
+            expectDigest("predictors",
+                         predictorText(
+                             runWorkloads(names, opts, flags, width)),
+                         source + " jobs=" + std::to_string(width));
+        }
+    }
+}
+
+TEST(ArtifactDigest, DataSpecArtifactsMatchCommittedDigests)
+{
+    // Both artifacts read operand values, so only live passes exist.
+    CollectFlags flags;
+    flags.dataSpec = true;
+    for (unsigned width : kWidths) {
+        const std::string context = "live jobs=" + std::to_string(width);
+        RunOptions opts;
+        opts.scale.factor = kScale;
+        opts.checkReplay = width > 1;
+        expectDigest("dataspec_report",
+                     dataSpecText(
+                         runWorkloads(workloadNames(), opts, flags, width)),
+                     context);
+        expectDigest("sweep_dataspec",
+                     sweepText(runSpecSweep(gridFor(kDataGrid, ""), width)),
+                     context);
     }
 }
 
