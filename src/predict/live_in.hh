@@ -11,7 +11,8 @@
  *
  * State machine (both predictors): 0 = empty, 1 = have last value,
  * 2 = have last value + stride. A prediction is only offered (and only
- * counted correct) in state 2, and equals last + stride. Observing a
+ * counted correct) in state 2, and equals last + stride (wrapping, like
+ * every stride computation here). Observing a
  * value always updates: state 1 derives the stride and promotes to 2;
  * state 0 just records the value. This is deliberately bit-identical to
  * the profiler's historical inline predictors — the Figure-8 numbers
@@ -26,6 +27,24 @@
 namespace loopspec
 {
 
+/** Two's-complement wrapping a + b. Live-in values are arbitrary 64-bit
+ *  patterns, so stride arithmetic must wrap rather than overflow (signed
+ *  overflow is undefined). */
+inline int64_t
+wrapAdd(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                                static_cast<uint64_t>(b));
+}
+
+/** Two's-complement wrapping a - b (see wrapAdd). */
+inline int64_t
+wrapSub(int64_t a, int64_t b)
+{
+    return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                                static_cast<uint64_t>(b));
+}
+
 /** Last-value + stride predictor over one live-in register. */
 class LiveInPredictor
 {
@@ -34,21 +53,21 @@ class LiveInPredictor
     bool
     predictCorrect(int64_t v) const
     {
-        return st == 2 && last + stride == v;
+        return st == 2 && wrapAdd(last, stride) == v;
     }
 
     /** True once a prediction is offered (two observations seen). */
     bool hasPrediction() const { return st == 2; }
 
     /** The value a spawned iteration would be handed (state 2 only). */
-    int64_t predicted() const { return last + stride; }
+    int64_t predicted() const { return wrapAdd(last, stride); }
 
     /** Train on the live-in value an iteration actually read. */
     void
     observe(int64_t v)
     {
         if (st >= 1) {
-            stride = v - last;
+            stride = wrapSub(v, last);
             st = 2;
         } else {
             st = 1;
@@ -100,7 +119,7 @@ class LiveInMemPredictor
     {
         return st == 2 &&
                lastAddr + static_cast<uint64_t>(addrStride) == addr &&
-               lastVal + valStride == val;
+               wrapAdd(lastVal, valStride) == val;
     }
 
     bool hasPrediction() const { return st == 2; }
@@ -110,7 +129,7 @@ class LiveInMemPredictor
     {
         if (st >= 1) {
             addrStride = static_cast<int64_t>(addr - lastAddr);
-            valStride = val - lastVal;
+            valStride = wrapSub(val, lastVal);
             st = 2;
         } else {
             st = 1;

@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <cstdint>
 #include <map>
 #include <set>
@@ -532,6 +534,49 @@ TEST(LiveInMemPredictorProperty, PredictsAddressAndValueStrides)
     p.reset();
     EXPECT_NE(p.stateHash(), h);
     EXPECT_EQ(p.state(), 0);
+}
+
+TEST(LiveInPredictorProperty, ExtremeValuesWrapWithoutOverflow)
+{
+    // Chaotic live-ins span the whole int64_t range: the stride from
+    // INT64_MIN to INT64_MAX, and the prediction past INT64_MAX, must
+    // wrap in two's complement (signed overflow is undefined behaviour,
+    // which the sanitizer build turns into a failure).
+    const int64_t lo = std::numeric_limits<int64_t>::min();
+    const int64_t hi = std::numeric_limits<int64_t>::max();
+    LiveInPredictor p;
+    p.observe(lo);
+    p.observe(hi); // stride = hi - lo wraps to -1
+    EXPECT_EQ(p.strideValue(), -1);
+    EXPECT_EQ(p.predicted(), hi - 1);
+    EXPECT_TRUE(p.predictCorrect(hi - 1));
+    p.observe(lo); // stride = lo - hi wraps to 1
+    EXPECT_EQ(p.strideValue(), 1);
+    EXPECT_EQ(p.predicted(), lo + 1);
+
+    LiveInPredictor q;
+    q.observe(hi - 1);
+    q.observe(hi); // stride 1: the prediction hi + 1 wraps to lo
+    EXPECT_EQ(q.predicted(), lo);
+    EXPECT_TRUE(q.predictCorrect(lo));
+}
+
+TEST(LiveInMemPredictorProperty, ExtremeValuesWrapWithoutOverflow)
+{
+    const int64_t lo = std::numeric_limits<int64_t>::min();
+    const int64_t hi = std::numeric_limits<int64_t>::max();
+    LiveInMemPredictor p;
+    p.observe(0x1000, hi);
+    p.observe(0x1008, lo); // value stride = lo - hi wraps to 1
+    EXPECT_TRUE(p.predictCorrect(0x1010, lo + 1));
+    EXPECT_FALSE(p.predictCorrect(0x1010, hi));
+    p.observe(0x1010, hi); // value stride = hi - lo wraps to -1
+    EXPECT_TRUE(p.predictCorrect(0x1018, hi - 1));
+
+    LiveInMemPredictor q;
+    q.observe(0x2000, hi - 1);
+    q.observe(0x2008, hi); // value stride 1: hi + 1 wraps to lo
+    EXPECT_TRUE(q.predictCorrect(0x2010, lo));
 }
 
 } // namespace
