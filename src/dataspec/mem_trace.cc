@@ -23,6 +23,24 @@ MemAccessTrace::stateHash() const
     return h;
 }
 
+void
+MemTraceRecorder::onInstrBatchSoA(const SoaBatch &b)
+{
+    LOOPSPEC_ASSERT(b.hasColdPlanes(),
+                    "memory sidecar needs the cold planes");
+    for (size_t i = 0; i < b.count; ++i) {
+        const DynInstr &t = b.templates[b.sidx[i]];
+        if (!(t.isLoad || t.isStore))
+            continue;
+        MemAccess a;
+        a.seq = b.seqBase + i;
+        a.addr = b.memAddr[i];
+        a.pc = b.pc[i];
+        a.isStore = t.isStore;
+        trace.accesses.push_back(a);
+    }
+}
+
 MemAccessTrace
 MemTraceRecorder::take()
 {

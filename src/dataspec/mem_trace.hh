@@ -56,9 +56,9 @@ struct MemAccessTrace
 
 /**
  * TraceObserver recording the memory-access sidecar. Attach next to the
- * detector on the functional pass (any engine path — the default
- * FullRecords batchNeed makes the SoA producer materialize exact
- * records), then take() the result after the trace ends.
+ * detector on the functional pass (either engine path — the default
+ * FullRecords batchNeed makes the producer fill the cold planes), then
+ * take() the result after the trace ends.
  */
 class MemTraceRecorder : public TraceObserver
 {
@@ -76,21 +76,9 @@ class MemTraceRecorder : public TraceObserver
         trace.accesses.push_back(a);
     }
 
-    void
-    onInstrBatch(const DynInstr *instrs, size_t count) override
-    {
-        for (size_t i = 0; i < count; ++i) {
-            const DynInstr &d = instrs[i];
-            if (d.isLoad || d.isStore) {
-                MemAccess a;
-                a.seq = d.seq;
-                a.addr = d.memAddr;
-                a.pc = d.pc;
-                a.isStore = d.isStore;
-                trace.accesses.push_back(a);
-            }
-        }
-    }
+    /** Reads the load/store flags from the records' templates and
+     *  address, pc and seq from the planes, without materializing. */
+    void onInstrBatchSoA(const SoaBatch &batch) override;
 
     void
     onTraceEnd(uint64_t total_instrs) override

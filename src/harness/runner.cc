@@ -1,5 +1,6 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -110,11 +111,20 @@ class FanoutObserver : public TraceObserver
     }
 
     void
-    onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                     const uint32_t *ctrl, size_t num_ctrl) override
+    onInstrBatchSoA(const SoaBatch &batch) override
     {
         for (auto *o : targets)
-            o->onInstrBatchCtrl(instrs, count, ctrl, num_ctrl);
+            o->onInstrBatchSoA(batch);
+    }
+
+    /** The strongest need of the targets. */
+    BatchNeed
+    batchNeed() const override
+    {
+        BatchNeed need = BatchNeed::HotPlanes;
+        for (auto *o : targets)
+            need = std::max(need, o->batchNeed());
+        return need;
     }
 
     void

@@ -35,9 +35,9 @@ LoopDetector::addListener(LoopListener *listener)
     LOOPSPEC_ASSERT(listener != nullptr);
     listeners.push_back(listener);
     if (listener->consumesInstrs()) {
-        instrListeners.push_back(listener);
-        if (listener->readsSpanRecords())
-            spanRecordsNeeded = true;
+        const bool reads = listener->readsSpanRecords();
+        instrListeners.push_back({listener, reads});
+        spanRecordsNeeded |= reads;
     }
     if (listener->wantsPrefetchHints())
         prefetchListeners.push_back(listener);
@@ -198,22 +198,8 @@ LoopDetector::handleReturn(const DynInstr &d)
 }
 
 void
-LoopDetector::maybePeriodicFlush(uint64_t pos)
-{
-    if (cfg.flushInterval && ++sinceFlush >= cfg.flushInterval) {
-        sinceFlush = 0;
-        while (!stack.empty()) {
-            endExecutionAt(stack.size() - 1, pos, ExecEndReason::Flush);
-            stack.pop();
-        }
-    }
-}
-
-void
 LoopDetector::dispatch(const DynInstr &d)
 {
-    maybePeriodicFlush(d.seq);
-
     switch (d.kind) {
       case CtrlKind::None:
       case CtrlKind::Call:
@@ -242,117 +228,42 @@ LoopDetector::onInstr(const DynInstr &d)
 {
     // Listeners see the instruction before any events it triggers, so a
     // closing branch is attributed to the iteration it terminates.
-    for (auto *l : instrListeners)
-        l->onInstr(d);
+    for (const InstrListener &l : instrListeners)
+        l.listener->onInstr(d);
     dispatch(d);
 }
 
 void
-LoopDetector::flushSpan(const DynInstr *instrs, size_t count)
+LoopDetector::flushSpan(const DynInstr *records, size_t count)
 {
     if (!count)
         return;
-    for (auto *l : instrListeners)
-        l->onInstrSpan(instrs, count);
-}
-
-size_t
-LoopDetector::handleCtrlAt(const DynInstr *instrs, size_t i,
-                           size_t span_start)
-{
-    const DynInstr &d = instrs[i];
-    bool work;
-    switch (d.kind) {
-      case CtrlKind::None:
-      case CtrlKind::Call:
-        // Calls never terminate loop executions (§2.1).
-        return span_start;
-      case CtrlKind::Branch:
-        work = d.taken || d.target <= d.pc;
-        break;
-      case CtrlKind::Jump:
-      case CtrlKind::Ret:
-        work = true;
-        break;
-      default:
-        panic("bad CtrlKind");
-    }
-    if (!work)
-        return span_start;
-    // Listeners must see d before any event it triggers: flush the span
-    // up to and including d, then update the CLS.
-    flushSpan(instrs + span_start, i - span_start + 1);
-    dispatch(d);
-    return i + 1;
-}
-
-void
-LoopDetector::onInstrBatch(const DynInstr *instrs, size_t count)
-{
-    if (cfg.flushInterval) {
-        // The periodic flush can fire on any instruction, so every one is
-        // a potential event boundary; take the scalar path (the safety
-        // valve is off in every measured configuration).
-        for (size_t i = 0; i < count; ++i)
-            onInstr(instrs[i]);
-        return;
-    }
-
-    // Split the batch into spans of event-free instructions. Only taken
-    // branches/jumps, not-taken backward branches and returns can change
-    // the CLS; everything else extends the current span.
-    size_t span_start = 0;
-    for (size_t i = 0; i < count; ++i) {
-        if (instrs[i].kind == CtrlKind::None)
-            continue;
-        span_start = handleCtrlAt(instrs, i, span_start);
-    }
-    flushSpan(instrs + span_start, count - span_start);
-}
-
-void
-LoopDetector::onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                               const uint32_t *ctrl, size_t num_ctrl)
-{
-    if (cfg.flushInterval) {
-        for (size_t i = 0; i < count; ++i)
-            onInstr(instrs[i]);
-        return;
-    }
-
-    // The producer indexed the control transfers: hop between them
-    // directly instead of scanning every record.
-    size_t span_start = 0;
-    for (size_t k = 0; k < num_ctrl; ++k)
-        span_start = handleCtrlAt(instrs, ctrl[k], span_start);
-    flushSpan(instrs + span_start, count - span_start);
+    for (const InstrListener &l : instrListeners)
+        l.listener->onInstrSpan(l.readsRecords ? records : nullptr, count);
 }
 
 BatchNeed
 LoopDetector::batchNeed() const
 {
-    // flushInterval makes every instruction a potential event boundary
-    // (scalar dispatch over real records); a record-reading span
-    // listener needs the materialized stream too. Everything else runs
-    // from the hot planes alone.
-    return (cfg.flushInterval || spanRecordsNeeded)
-               ? BatchNeed::FullRecords
-               : BatchNeed::HotPlanes;
+    return spanRecordsNeeded ? BatchNeed::FullRecords
+                             : BatchNeed::HotPlanes;
 }
 
 void
 LoopDetector::onInstrBatchSoA(const SoaBatch &b)
 {
-    if (cfg.flushInterval || spanRecordsNeeded) {
-        // Materializing shim: rebuilds the AoS records and re-enters
-        // onInstrBatchCtrl, preserving the per-record contract.
-        TraceObserver::onInstrBatchSoA(b);
-        return;
+    // Only a record-reading span listener needs the records; they are
+    // materialized once per batch and handed out as spans of the copy.
+    const DynInstr *records = nullptr;
+    if (spanRecordsNeeded) {
+        if (spanRecords.size() < b.count)
+            spanRecords.resize(b.count);
+        b.materializeAll(spanRecords.data());
+        records = spanRecords.data();
     }
 
-    // Hot path: only the control positions are ever touched; spans are
-    // pure counts (every attached span listener declared it never
-    // dereferences records).
+    // Only the control positions are ever touched: everything between
+    // them extends the current span.
     size_t span_start = 0;
     for (size_t k = 0; k < b.numCtrl; ++k) {
         const size_t i = b.ctrl[k];
@@ -366,8 +277,8 @@ LoopDetector::onInstrBatchSoA(const SoaBatch &b)
             prefetchRead(&b.taken[ni]);
         }
 
-        // Reconstruct the hot fields of the control record — the only
-        // DynInstr this path ever builds.
+        // Reconstruct the hot fields of the control record — all the
+        // CLS update reads.
         DynInstr d;
         d.seq = b.seqBase + i;
         d.pc = b.pc[i];
@@ -375,11 +286,13 @@ LoopDetector::onInstrBatchSoA(const SoaBatch &b)
         d.kind = static_cast<CtrlKind>(b.kind[i]);
         d.taken = b.taken[i] != 0;
 
+        // Only taken branches/jumps, not-taken backward branches and
+        // returns can change the CLS; calls never terminate loop
+        // executions (§2.1).
         bool work;
         switch (d.kind) {
           case CtrlKind::None:
           case CtrlKind::Call:
-            // Calls never terminate loop executions (§2.1).
             work = false;
             break;
           case CtrlKind::Branch:
@@ -401,11 +314,15 @@ LoopDetector::onInstrBatchSoA(const SoaBatch &b)
         for (auto *l : prefetchListeners)
             l->prefetchLoop(d.target);
 
-        flushSpan(nullptr, i - span_start + 1);
+        // Listeners must see d before any event it triggers: flush the
+        // span up to and including d, then update the CLS.
+        flushSpan(records ? records + span_start : nullptr,
+                  i - span_start + 1);
         dispatch(d);
         span_start = i + 1;
     }
-    flushSpan(nullptr, b.count - span_start);
+    flushSpan(records ? records + span_start : nullptr,
+              b.count - span_start);
 }
 
 void

@@ -23,15 +23,6 @@ struct DetectorConfig
 {
     /** CLS entries; the paper uses 16 ("enough for the SPEC95"). */
     size_t clsEntries = 16;
-
-    /**
-     * Flush the CLS every this many retired instructions (0 = never).
-     * The paper's safety valve for loops stranded by never-returning
-     * calls (setjmp/longjmp): "such situation could be handled by
-     * periodically flushing the contents of the CLS" (§2.2). SPEC95
-     * never needs it; pathological control flow might.
-     */
-    uint64_t flushInterval = 0;
 };
 
 /**
@@ -68,18 +59,14 @@ class LoopDetector : public TraceObserver
     // a loop event, so listeners observe the exact per-instruction order
     // of the scalar path at a fraction of the virtual-dispatch cost.
     void onInstr(const DynInstr &instr) override;
-    void onInstrBatch(const DynInstr *instrs, size_t count) override;
-    void onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                          const uint32_t *ctrl,
-                          size_t num_ctrl) override;
-    /** SoA hot path: walks the control index over the hot planes with
-     *  the next control record (and the LET/LIT-style listeners' table
-     *  lines) prefetched; spans are forwarded as (nullptr, count). Falls
-     *  back to the materializing shim when some listener reads span
-     *  records or the periodic flush is armed. */
+    /** The one batch walk: hops along the control index over the hot
+     *  planes with the next control record (and the LET/LIT-style
+     *  listeners' table lines) prefetched. Span listeners that read
+     *  records get spans of a per-batch materialized copy; every other
+     *  span listener gets (nullptr, count). */
     void onInstrBatchSoA(const SoaBatch &batch) override;
-    /** HotPlanes unless a listener reads span records (or flushInterval
-     *  forces scalar dispatch), so engines skip the cold planes. */
+    /** HotPlanes unless a listener reads span records, so engines skip
+     *  the cold planes. */
     BatchNeed batchNeed() const override;
     void onTraceEnd(uint64_t total_instrs) override;
 
@@ -112,34 +99,31 @@ class LoopDetector : public TraceObserver
      *  the caller has already forwarded @p d to the listeners. */
     void dispatch(const DynInstr &d);
 
-    /** Flush the periodic-CLS-flush safety valve at position @p pos. */
-    void maybePeriodicFlush(uint64_t pos);
-
-    /** Forward a finished span to every listener. */
-    void flushSpan(const DynInstr *instrs, size_t count);
-
-    /**
-     * Batch helper: process the (control) instruction at @p i. Flushes
-     * the pending span [span_start, i] and updates the CLS when the
-     * instruction can change it; returns the new span start.
-     */
-    size_t handleCtrlAt(const DynInstr *instrs, size_t i,
-                        size_t span_start);
+    /** Forward the finished span of @p count instructions to every
+     *  span listener; @p records (null when no listener reads records)
+     *  holds the span's materialized records. */
+    void flushSpan(const DynInstr *records, size_t count);
 
     CurrentLoopStack stack;
     DetectorConfig cfg;
     std::vector<LoopListener *> listeners;
-    /** Subset of listeners with consumesInstrs(): the only ones that
-     *  receive onInstr/onInstrSpan. */
-    std::vector<LoopListener *> instrListeners;
+    /** A listener with consumesInstrs(): the only ones that receive
+     *  onInstr/onInstrSpan. */
+    struct InstrListener
+    {
+        LoopListener *listener;
+        bool readsRecords; //!< readsSpanRecords(), cached
+    };
+    std::vector<InstrListener> instrListeners;
     /** Subset of listeners with wantsPrefetchHints(): warmed right
      *  before a CLS-changing transfer dispatches. */
     std::vector<LoopListener *> prefetchListeners;
     /** True when some instruction listener dereferences span records —
-     *  the SoA hot path is then unavailable. */
+     *  batches then arrive with cold planes and are materialized into
+     *  spanRecords. */
     bool spanRecordsNeeded = false;
+    std::vector<DynInstr> spanRecords;
     uint64_t nextExecId = 1;
-    uint64_t sinceFlush = 0;
     bool flushed = false;
 };
 

@@ -24,7 +24,9 @@ enum class ExecEndReason : uint8_t
     OuterClose, //!< popped because an outer loop closed an iteration
     OuterEnd,   //!< popped because an outer loop execution terminated
     Overflow,   //!< lost as the deepest entry on CLS overflow
-    Flush,      //!< periodic CLS flush (§2.2's setjmp safety valve)
+    /** Periodic CLS flush (§2.2's setjmp safety valve). The detector
+     *  does not emit it; the code stays decodable in recordings. */
+    Flush,
     TraceEnd,   //!< still live when the trace ended (flush)
 };
 

@@ -12,13 +12,13 @@ PredictorMeter::PredictorMeter(
 }
 
 void
-PredictorMeter::onBranch(const DynInstr &d)
+PredictorMeter::onBranch(uint32_t pc, bool taken)
 {
     for (Slot &s : preds) {
         ++s.lookups;
-        if (s.pred->predict(d.pc) == d.taken)
+        if (s.pred->predict(pc) == taken)
             ++s.hits;
-        s.pred->update(d.pc, d.taken);
+        s.pred->update(pc, taken);
     }
 }
 
@@ -26,29 +26,18 @@ void
 PredictorMeter::onInstr(const DynInstr &d)
 {
     if (d.kind == CtrlKind::Branch)
-        onBranch(d);
+        onBranch(d.pc, d.taken);
 }
 
 void
-PredictorMeter::onInstrBatch(const DynInstr *instrs, size_t count)
+PredictorMeter::onInstrBatchSoA(const SoaBatch &b)
 {
-    for (size_t i = 0; i < count; ++i) {
-        if (instrs[i].kind == CtrlKind::Branch)
-            onBranch(instrs[i]);
-    }
-}
-
-void
-PredictorMeter::onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                                 const uint32_t *ctrl, size_t num_ctrl)
-{
-    (void)count;
     // The producer already knows where the transfers are; visit only
     // those slots and filter for conditional branches.
-    for (size_t i = 0; i < num_ctrl; ++i) {
-        const DynInstr &d = instrs[ctrl[i]];
-        if (d.kind == CtrlKind::Branch)
-            onBranch(d);
+    for (size_t k = 0; k < b.numCtrl; ++k) {
+        const uint32_t i = b.ctrl[k];
+        if (static_cast<CtrlKind>(b.kind[i]) == CtrlKind::Branch)
+            onBranch(b.pc[i], b.taken[i] != 0);
     }
 }
 

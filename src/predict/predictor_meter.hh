@@ -4,8 +4,8 @@
  * the measurement side of the loop-detection-vs-predictor comparison
  * (docs/PREDICTORS.md). A TraceObserver, so it attaches to a
  * TraceEngine next to the LoopDetector and sees the identical stream;
- * the onInstrBatchCtrl fast path walks only the producer's control
- * index, keeping the batched hot path hot. Control-trace replay feeds
+ * the batch path walks only the producer's control index over the hot
+ * planes, so it never asks for the cold operand planes. Control-trace replay feeds
  * the same fields (pc, kind, taken), so a replay-derived meter is
  * bit-identical to a live one — runWorkload's --check-replay pins that.
  */
@@ -54,10 +54,8 @@ class PredictorMeter : public TraceObserver
 
     // TraceObserver interface.
     void onInstr(const DynInstr &instr) override;
-    void onInstrBatch(const DynInstr *instrs, size_t count) override;
-    void onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                          const uint32_t *ctrl,
-                          size_t num_ctrl) override;
+    void onInstrBatchSoA(const SoaBatch &batch) override;
+    BatchNeed batchNeed() const override { return BatchNeed::HotPlanes; }
 
     /** Results in configuration order (stateHash filled in). */
     std::vector<PredictorMeterResult> results() const;
@@ -65,7 +63,7 @@ class PredictorMeter : public TraceObserver
     size_t numPredictors() const { return preds.size(); }
 
   private:
-    void onBranch(const DynInstr &d);
+    void onBranch(uint32_t pc, bool taken);
 
     struct Slot
     {

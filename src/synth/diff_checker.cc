@@ -111,7 +111,8 @@ EventLog::onTraceDone(uint64_t total_instrs)
 namespace
 {
 
-/** Collects the full DynInstr stream from either delivery path. */
+/** Collects the full DynInstr stream from either delivery path (run()
+ *  batches reach onInstr through the per-record default). */
 class StreamCollector : public TraceObserver
 {
   public:
@@ -121,16 +122,21 @@ class StreamCollector : public TraceObserver
     void onInstr(const DynInstr &d) override { all.push_back(d); }
 
     void
-    onInstrBatch(const DynInstr *instrs, size_t count) override
-    {
-        all.insert(all.end(), instrs, instrs + count);
-    }
-
-    void
     onTraceEnd(uint64_t total) override
     {
         totalInstrs = total;
     }
+};
+
+/** Record-reading span listener: collects every instruction the
+ *  detector forwards, so record spans can be checked against the
+ *  reference stream. */
+class SpanRecordCollector : public LoopListener
+{
+  public:
+    std::vector<DynInstr> all;
+
+    void onInstr(const DynInstr &d) override { all.push_back(d); }
 };
 
 /**
@@ -448,7 +454,7 @@ struct MeterBank
 
 /**
  * Detector invariants over the reference event log and the instruction
- * stream (docs/TESTING.md lists these; flushInterval must be 0).
+ * stream (docs/TESTING.md lists these).
  */
 std::string
 checkInvariants(const EventLog &log, const std::vector<DynInstr> &stream,
@@ -831,14 +837,16 @@ checkDiskRoundTrip(const ControlTrace &ctrace,
 /**
  * Predictor-state invariant: the branch-predictor baselines are pure
  * functions of the retired conditional-branch stream, so a scalar-fed
- * meter, an odd-batch-fed meter and a control-trace-replay-fed meter
- * must agree on every lookup/hit count AND end in bit-identical table
- * state (stateHash covers every counter and history register).
+ * meter, a meter riding an engine run with odd-sized batches and a
+ * control-trace-replay-fed meter must agree on every lookup/hit count
+ * AND end in bit-identical table state (stateHash covers every counter
+ * and history register).
  */
 std::string
 checkPredictorState(const std::vector<std::string> &specs,
+                    const Program &prog, const EngineConfig &ecfg,
                     const std::vector<DynInstr> &stream,
-                    uint64_t total_instrs, const ControlTrace &ctrace)
+                    const ControlTrace &ctrace)
 {
     if (specs.empty())
         return {};
@@ -851,15 +859,16 @@ checkPredictorState(const std::vector<std::string> &specs,
         scalar_fed.onInstr(d);
 
     PredictorMeter batch_fed(configs);
-    const size_t chunk = 777; // deliberately odd span boundaries
-    for (size_t i = 0; i < stream.size(); i += chunk) {
-        size_t n = std::min(chunk, stream.size() - i);
-        batch_fed.onInstrBatch(stream.data() + i, n);
+    {
+        EngineConfig odd = ecfg;
+        odd.batchInstrs = 777; // deliberately odd batch boundaries
+        TraceEngine engine(prog, odd);
+        engine.addObserver(&batch_fed);
+        engine.run();
     }
 
     PredictorMeter replay_fed(configs);
     replayControlTrace(ctrace, replay_fed);
-    (void)total_instrs;
 
     const auto ref = scalar_fed.results();
     for (const auto &[what, meter] :
@@ -985,11 +994,11 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
     ControlTrace ctrace = ctrace_rec.take();
 
     // --- 1a. SoA deliveries vs the reference stream ------------------
-    // Hot planes (the default fast path) must agree field-for-field
-    // with the scalar records, and the direct AoS fill (soaBatches =
-    // false, the non-GNU fallback) must stay bit-identical too. The
-    // stage-1 batched collector above already covered the third
-    // delivery form: cold planes materialized by the default shim.
+    // Hot planes (an all-HotPlanes observer set) must agree
+    // field-for-field with the scalar records, and full records
+    // materialized from odd-sized batches (777) must stay bit-identical
+    // wherever a batch boundary falls. The stage-1 batched collector
+    // above already covered full records at the default batch size.
     {
         HotStreamCollector hot;
         {
@@ -1015,32 +1024,31 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
             }
         }
 
-        StreamCollector direct;
+        StreamCollector odd;
         {
-            EngineConfig acfg = ecfg;
-            acfg.soaBatches = false;
-            TraceEngine engine(prog, acfg);
-            engine.addObserver(&direct);
+            EngineConfig ocfg = ecfg;
+            ocfg.batchInstrs = 777;
+            TraceEngine engine(prog, ocfg);
+            engine.addObserver(&odd);
             engine.run();
         }
-        if (direct.all.size() != scalar.all.size()) {
+        if (odd.all.size() != scalar.all.size()) {
             return DiffResult::fail(strprintf(
-                "soa: direct AoS fill retires %zu instrs, scalar %zu",
-                direct.all.size(), scalar.all.size()));
+                "soa: odd-batch run retires %zu instrs, scalar %zu",
+                odd.all.size(), scalar.all.size()));
         }
         for (size_t i = 0; i < scalar.all.size(); ++i) {
-            std::string err =
-                compareInstr(scalar.all[i], direct.all[i], i);
+            std::string err = compareInstr(scalar.all[i], odd.all[i], i);
             if (!err.empty())
-                return DiffResult::fail("soa direct-aos: " + err);
+                return DiffResult::fail("soa odd-batch: " + err);
         }
     }
 
     // --- 1b. Predictor-state invariant (CLS-independent) -------------
     {
         std::string err =
-            checkPredictorState(cfg.predictorSpecs, scalar.all,
-                                scalar.totalInstrs, ctrace);
+            checkPredictorState(cfg.predictorSpecs, prog, ecfg,
+                                scalar.all, ctrace);
         if (!err.empty())
             return DiffResult::fail(err);
     }
@@ -1105,37 +1113,48 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
         if (!err.empty())
             return DiffResult::fail(err);
 
-        // (B2) Direct AoS batches (soaBatches = false): the detector's
-        // record walk must emit the identical events as its hot-plane
-        // walk in (B).
-        EventLog log_b2;
+        // (B1) Odd-sized engine batches (999) stress the hot-plane
+        // walk's span boundaries.
+        EventLog log_b1;
         {
-            EngineConfig acfg = ecfg;
-            acfg.soaBatches = false;
-            TraceEngine engine(prog, acfg);
+            EngineConfig ocfg = ecfg;
+            ocfg.batchInstrs = 999;
+            TraceEngine engine(prog, ocfg);
             LoopDetector det({cls});
-            det.addListener(&log_b2);
+            det.addListener(&log_b1);
             engine.addObserver(&det);
             engine.run();
         }
-        err = compareLogs((tag + " aos-batched").c_str(), log_a, log_b2);
+        err = compareLogs((tag + " odd-batched").c_str(), log_a, log_b1);
         if (!err.empty())
             return DiffResult::fail(err);
 
-        // (B1) Odd-sized manual batches stress span boundaries.
-        EventLog log_b1;
+        // (B2) Odd-sized engine batches (777) with a record-reading
+        // span listener: the detector materializes each batch and
+        // hands out record spans, which must carry the reference
+        // stream exactly while the events stay those of (A).
+        EventLog log_b2;
+        SpanRecordCollector spans_b2;
         {
+            EngineConfig ocfg = ecfg;
+            ocfg.batchInstrs = 777;
+            TraceEngine engine(prog, ocfg);
             LoopDetector det({cls});
-            det.addListener(&log_b1);
-            const size_t chunk = 999;
-            for (size_t i = 0; i < scalar.all.size(); i += chunk) {
-                size_t n = std::min(chunk, scalar.all.size() - i);
-                det.onInstrBatch(scalar.all.data() + i, n);
-            }
-            det.onTraceEnd(scalar.totalInstrs);
+            det.addListener(&log_b2);
+            det.addListener(&spans_b2);
+            engine.addObserver(&det);
+            engine.run();
         }
-        err = compareLogs((tag + " manual-batched").c_str(), log_a,
-                          log_b1);
+        err = compareLogs((tag + " record-spans").c_str(), log_a, log_b2);
+        if (err.empty() && spans_b2.all.size() != scalar.all.size())
+            err = strprintf("%s record-spans: %zu records, scalar %zu",
+                            tag.c_str(), spans_b2.all.size(),
+                            scalar.all.size());
+        for (size_t i = 0; err.empty() && i < scalar.all.size(); ++i) {
+            err = compareInstr(scalar.all[i], spans_b2.all[i], i);
+            if (!err.empty())
+                err = tag + " record-spans: " + err;
+        }
         if (!err.empty())
             return DiffResult::fail(err);
 

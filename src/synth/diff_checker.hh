@@ -9,13 +9,15 @@
  * through all of them, at several CLS sizes, and reports the first
  * divergence:
  *
- *  - DynInstr streams of step() and run() must be bit-identical, on
- *    every delivery layout: SoA hot planes, shim-materialized records,
- *    and the direct AoS fill (EngineConfig::soaBatches = false);
+ *  - DynInstr streams of step() and run() must be bit-identical: the
+ *    SoA hot planes, and full records materialized from the cold planes
+ *    at the default batch size and at an odd one (777);
  *  - the LoopDetector must emit the identical event sequence whether fed
- *    per-instruction, in batches (hot-plane or record form), by the
- *    engine, by control-trace replay, or by chunk-interleaved replay
- *    sources (trace_io/replay_source.hh);
+ *    per-instruction, by engine runs at the default and odd batch sizes
+ *    (the hot-plane walk, and record spans handed to a record-reading
+ *    listener, which must carry the reference stream), by control-trace
+ *    replay, or by chunk-interleaved replay sources
+ *    (trace_io/replay_source.hh);
  *  - replaying a LoopEventRecording must reproduce the events, the
  *    Fig-4 meter artifacts, and a re-recorded recording exactly;
  *  - replaying it over its first W instructions (windowed replay, at W =
@@ -28,8 +30,8 @@
  *    models (LRU victim validity);
  *  - the branch-predictor baselines (src/predict/) must end in the
  *    identical table state — stateHash plus lookup/hit counts — whether
- *    fed scalar onInstr calls, odd-sized manual batches, or a
- *    control-trace replay's synthesized batches (predictor-state
+ *    fed scalar onInstr calls, an engine run with odd-sized batches, or
+ *    a control-trace replay's synthesized batches (predictor-state
  *    invariant, docs/PREDICTORS.md);
  *  - the memory-dependence conflict profiler (docs/DATASPEC.md) must
  *    produce identical conflict sets, violation-event sequences and

@@ -284,7 +284,8 @@ struct TraceFileStreamer::ControlPump::Impl
               s.metaTotalInstrs),
           synth(observer, s.metaTotalInstrs, max_instrs,
                 s.config.batchInstrs),
-          batchBytes(s.config.batchInstrs * sizeof(DynInstr))
+          batchBytes(
+              ControlReplaySynthesizer::batchBytes(s.config.batchInstrs))
     {
     }
 

@@ -68,10 +68,6 @@ class ControlTraceRecorder : public TraceObserver
 {
   public:
     void onInstr(const DynInstr &instr) override;
-    void onInstrBatch(const DynInstr *instrs, size_t count) override;
-    void onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                          const uint32_t *ctrl,
-                          size_t num_ctrl) override;
     /** Hot-plane consumer: a transfer is exactly the four hot fields
      *  plus seq, so the recorder never needs full records. */
     void onInstrBatchSoA(const SoaBatch &batch) override;
@@ -90,11 +86,14 @@ class ControlTraceRecorder : public TraceObserver
  * Incremental core of control-trace replay: feed() recorded transfers one
  * at a time and the synthesizer reconstructs the full retired stream —
  * gap instructions (CtrlKind::None, correct seq) between them — and
- * delivers it to the observer in onInstrBatchCtrl batches. This is what
- * lets the on-disk streaming reader drive a replay without ever holding
- * the transfer vector in memory; replayControlTrace() is now a thin loop
- * over it, so both paths are bit-identical by construction (same batch
- * boundaries, same synthesized records).
+ * delivers it to the observer as hot-plane SoaBatches. Gap instructions
+ * are all-zero plane entries with implicit seq, so synthesizing them is a
+ * pure position advance. A replay carries no operand values: the
+ * observer must report BatchNeed::HotPlanes (asserted). This is what lets
+ * the on-disk streaming reader drive a replay without ever holding the
+ * transfer vector in memory; replayControlTrace() is a thin loop over
+ * it, so both paths are bit-identical by construction (same batch
+ * boundaries, same planes).
  */
 class ControlReplaySynthesizer
 {
@@ -124,6 +123,15 @@ class ControlReplaySynthesizer
     /** Replay window length (totalInstrs clamped by max_instrs). */
     uint64_t windowEnd() const { return end; }
 
+    /** Bytes of batch buffers (hot planes + control index) a
+     *  synthesizer with @p batch_instrs-record batches allocates. */
+    static size_t
+    batchBytes(size_t batch_instrs)
+    {
+        return batch_instrs *
+               (SoaBatch::kHotBytesPerInstr + sizeof(uint32_t));
+    }
+
   private:
     void flush();
 
@@ -131,20 +139,10 @@ class ControlReplaySynthesizer
     void synthGap(uint64_t upto);
 
     TraceObserver &observer;
-    std::vector<DynInstr> buf;
     std::vector<uint32_t> ctrl;
-    /**
-     * Hot-plane delivery (chosen when the observer reports
-     * BatchNeed::HotPlanes): batches go out as SoaBatch views over four
-     * plane vectors and gap instructions become pure position advances —
-     * no 72-byte record is ever written. Bit-identical observations by
-     * the SoaBatch hot-plane contract (zeros at gap positions, implicit
-     * seq).
-     */
-    bool soa = false;
     std::vector<uint32_t> pcP, targetP;
     std::vector<uint8_t> kindP, takenP;
-    uint64_t batchSeqBase = 0; //!< seq of plane/buf position 0
+    uint64_t batchSeqBase = 0; //!< seq of plane position 0
     size_t cap = 0;   //!< batch capacity (records per flush)
     uint64_t end;     //!< replay window length
     uint64_t seq = 0; //!< next seq to synthesize
@@ -155,7 +153,8 @@ class ControlReplaySynthesizer
 
 /**
  * Replay a recorded trace into @p observer (typically a LoopDetector with
- * a fresh listener set), delivering synthesized batches. @p max_instrs
+ * a fresh listener set; a HotPlanes observer), delivering synthesized
+ * batches. @p max_instrs
  * truncates the replay (0 = full length), mirroring EngineConfig::
  * maxInstrs: observers see exactly the first max_instrs instructions and
  * an onTraceEnd at that position. Returns the instruction count replayed.

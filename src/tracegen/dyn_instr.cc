@@ -20,15 +20,8 @@ TraceObserver::onInstrBatchSoA(const SoaBatch &batch)
     LOOPSPEC_ASSERT(batch.hasColdPlanes(),
                     "hot-only SoA delivery reached an observer that "
                     "never declared BatchNeed::HotPlanes");
-    // Scratch is thread-local: the sweep harness replays on pool
-    // threads, and one resize-and-reuse buffer per thread keeps the
-    // shim allocation-free after the first batch.
-    thread_local std::vector<DynInstr> scratch;
-    if (scratch.size() < batch.count)
-        scratch.resize(batch.count);
-    batch.materializeAll(scratch.data());
-    onInstrBatchCtrl(scratch.data(), batch.count, batch.ctrl,
-                     batch.numCtrl);
+    for (size_t i = 0; i < batch.count; ++i)
+        onInstr(batch.materialize(i));
 }
 
 } // namespace loopspec

@@ -71,7 +71,7 @@ static_assert(sizeof(CtrlKind) == 1 && sizeof(Opcode) == 1,
  * control-index consumers read — pc, resolved target, control kind and
  * taken-ness — at one-ninth the bandwidth of a DynInstr stream; seq is
  * implicit (record i retired at seqBase + i). Hot planes are valid at
- * every position and agree field-for-field with the AoS records: target
+ * every position and agree field-for-field with the scalar records: target
  * and taken are zero at non-control positions, a not-taken branch keeps
  * its static target, exactly like DynInstr.
  *
@@ -106,8 +106,8 @@ struct SoaBatch
 
     bool hasColdPlanes() const { return sidx != nullptr; }
 
-    /** Rebuild the full AoS record at position @p i (cold planes
-     *  required). Bit-identical to what the AoS batch path delivers. */
+    /** Rebuild the full record at position @p i (cold planes
+     *  required). Bit-identical to what step() delivers. */
     DynInstr
     materialize(size_t i) const
     {
@@ -129,7 +129,8 @@ struct SoaBatch
     /** Per-instruction footprint of the hot planes alone. Pinned so a
      *  plane-type change (a widened kind enum, a bool-ified taken)
      *  shows up as a compile error, not a silent cache-budget change:
-     *  a 4K-record batch of hot data must stay ~40KB vs ~288KB AoS. */
+     *  a 4K-record batch of hot data must stay ~40KB (~288KB as
+     *  DynInstr records). */
     static constexpr size_t kHotBytesPerInstr =
         sizeof(uint32_t) * 2 + sizeof(uint8_t) * 2;
 };
@@ -207,26 +208,27 @@ struct SoaBatchStorage
 };
 
 /**
- * What batch data an observer needs from the SoA fast path. Producers
- * take the maximum over their observers: any FullRecords consumer makes
- * the producer fill the cold planes too, so the default-shim
- * materialization (and any direct cold-plane reader) stays exact.
+ * What batch data an observer needs from a producer. Producers take the
+ * maximum over their observers: any FullRecords consumer makes the
+ * producer fill the cold planes too, so materialize() (and any direct
+ * cold-plane reader) stays exact.
  */
 enum class BatchNeed : uint8_t
 {
     HotPlanes,   //!< pc/target/kind/taken + ctrl index + counts suffice
-    FullRecords, //!< needs operand/value planes (or materialized AoS)
+    FullRecords, //!< needs the operand/value planes
 };
 
 /**
  * Observer over a retired-instruction stream. Multiple observers can be
  * attached to one engine; they see each instruction in attach order.
  *
- * The engine's run() delivers instructions in batches (onInstrBatch);
- * step() delivers them one at a time (onInstr). The default batch
- * implementation forwards to onInstr, so an observer sees the identical
- * record sequence on either path and only overrides onInstrBatch when it
- * wants to amortise the virtual dispatch.
+ * There are two deliveries: step() hands over one record at a time
+ * (onInstr), run() and control-trace replay hand over SoA batches
+ * (onInstrBatchSoA). The default batch implementation materializes each
+ * record and forwards it to onInstr, so an observer sees the identical
+ * record sequence on either path and only overrides onInstrBatchSoA
+ * (and batchNeed) when it wants to read the planes directly.
  */
 class TraceObserver
 {
@@ -236,45 +238,18 @@ class TraceObserver
     /** Called for every retired instruction. */
     virtual void onInstr(const DynInstr &instr) = 0;
 
-    /** Called with a run of consecutively retired instructions, in
-     *  retire order. Batch boundaries carry no meaning. */
-    virtual void
-    onInstrBatch(const DynInstr *instrs, size_t count)
-    {
-        for (size_t i = 0; i < count; ++i)
-            onInstr(instrs[i]);
-    }
-
     /**
-     * Batch delivery with a precomputed control index: @p ctrl lists the
-     * positions i (ascending) where instrs[i].kind != CtrlKind::None.
-     * The producer knows where the transfers are (the engine classified
-     * them at predecode; replay recorded them), so control-driven
-     * observers skip the scan. Default forwards to onInstrBatch.
-     */
-    virtual void
-    onInstrBatchCtrl(const DynInstr *instrs, size_t count,
-                     const uint32_t *ctrl, size_t num_ctrl)
-    {
-        (void)ctrl;
-        (void)num_ctrl;
-        onInstrBatch(instrs, count);
-    }
-
-    /**
-     * Batch delivery in structure-of-arrays form (the engine's default
-     * fast path). The default implementation is the compatibility shim:
-     * it materializes the AoS records from the cold planes and forwards
-     * to onInstrBatchCtrl, so an observer written against the AoS
-     * vocabulary sees the identical record sequence. Observers on the
-     * hot path override this *and* batchNeed() — when every observer
-     * reports HotPlanes the producer skips the cold planes entirely,
-     * and the shim must never run (it panics without cold planes).
+     * A run of consecutively retired instructions, in retire order, as
+     * planes; batch boundaries carry no meaning. The default calls
+     * onInstr(batch.materialize(i)) per record, which needs the cold
+     * planes. Observers on the hot path override this *and* batchNeed():
+     * when every observer reports HotPlanes the producer skips the cold
+     * planes entirely, and the default must never run (it asserts).
      */
     virtual void onInstrBatchSoA(const SoaBatch &batch);
 
-    /** Data this observer needs from SoA deliveries. The conservative
-     *  default keeps unaware observers exact via the shim. */
+    /** Data this observer needs from batch deliveries. The conservative
+     *  default keeps the per-record default above exact. */
     virtual BatchNeed batchNeed() const { return BatchNeed::FullRecords; }
 
     /** Called once when the trace ends (Halt or fuel exhausted). */

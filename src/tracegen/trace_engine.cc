@@ -593,19 +593,16 @@ TraceEngine::step(DynInstr &out)
  * streams stay bit-identical); M selects what gets materialised:
  *
  *  - Unobserved: architectural effects only, no records.
- *  - Aos: 72-byte DynInstr records (prototype copy + dynamic patches)
- *    plus the control index — the compatibility layout.
  *  - SoaHot: the hot planes only (pc/kind always; taken/target zeroed
  *    per batch and overwritten at control positions) — ~10 bytes per
  *    instruction instead of 72.
  *  - SoaFull: hot planes + sidx + operand/value cold planes, from
- *    which SoaBatch::materialize rebuilds the exact AoS record.
+ *    which SoaBatch::materialize rebuilds the exact DynInstr record.
  */
 template <TraceEngine::FillMode M>
 size_t
 TraceEngine::fillCore(const FillBufs &bufs, size_t cap, size_t &num_ctrl)
 {
-    constexpr bool kAos = M == FillMode::Aos;
     constexpr bool kSoa =
         M == FillMode::SoaHot || M == FillMode::SoaFull;
     constexpr bool kCold = M == FillMode::SoaFull;
@@ -623,14 +620,12 @@ TraceEngine::fillCore(const FillBufs &bufs, size_t cap, size_t &num_ctrl)
     const OpCore *ops = opCore.data();
     const int64_t *imms = opImm.data();
     const uint32_t *tgts = opTarget.data();
-    const DynInstr *tmpl = recTemplate.data();
     int64_t *mem = memory.data();
     const uint64_t mem_words = memory.size();
     const uint64_t max_instrs = cfg.maxInstrs;
     const bool strict = cfg.strictMemory;
     bool lhalted = false;
     (void)bufs;
-    (void)tmpl;
 
     // Fuel folds into the batch bound so the hot loop tests one limit.
     size_t limit = cap;
@@ -639,7 +634,7 @@ TraceEngine::fillCore(const FillBufs &bufs, size_t cap, size_t &num_ctrl)
 
     if constexpr (kSoa) {
         // Non-control positions keep zeroed taken/target planes (and,
-        // in full mode, zeroed value planes) — the same zeros the AoS
+        // in full mode, zeroed value planes) — the same zeros step()'s
         // records carry; control handlers overwrite their own slots.
         std::memset(bufs.takenP, 0, limit);
         std::memset(bufs.targetP, 0, limit * sizeof(uint32_t));
@@ -658,69 +653,42 @@ TraceEngine::fillCore(const FillBufs &bufs, size_t cap, size_t &num_ctrl)
     uint32_t cur_pc;
     uint32_t next_pc;
     const OpCore *op;
-    DynInstr *d = nullptr;
-    (void)d;
 
-// Per-instruction prologue: decode position, then the record prologue
-// of the active mode (AoS: prototype copy + seq; SoA: pc/kind planes).
+// Per-instruction prologue: decode position, then the pc/kind planes
+// (and, in full mode, the static-instruction index).
 #define LS_BEGIN_OP()                                                  \
     cur_pc = lpc;                                                      \
     idx = (cur_pc - codeBase) / instrBytes;                            \
     op = ops + idx;                                                    \
     next_pc = cur_pc + instrBytes;                                     \
-    if constexpr (kAos) {                                              \
-        d = bufs.buf + n;                                              \
-        *d = tmpl[idx];                                                \
-        d->seq = lseq;                                                 \
-    } else if constexpr (kSoa) {                                       \
+    if constexpr (kSoa) {                                              \
         bufs.pcP[n] = cur_pc;                                          \
         bufs.kindP[n] = op->kind;                                      \
         if constexpr (kCold)                                           \
             bufs.sidxP[n] = static_cast<uint32_t>(idx);                \
     }
 
-// Dynamic-field writes. AoS patches the copied prototype; SoaFull
-// writes the cold planes; SoaHot and Unobserved drop the value.
+// Dynamic-field writes. SoaFull writes the cold planes; SoaHot and
+// Unobserved drop the value.
 #define LS_SRC0(v)                                                     \
-    if constexpr (kAos)                                                \
-        d->srcVal[0] = (v);                                            \
-    else if constexpr (kCold)                                          \
+    if constexpr (kCold)                                               \
         bufs.srcVal0P[n] = (v)
 #define LS_SRC1(v)                                                     \
-    if constexpr (kAos)                                                \
-        d->srcVal[1] = (v);                                            \
-    else if constexpr (kCold)                                          \
+    if constexpr (kCold)                                               \
         bufs.srcVal1P[n] = (v)
 #define LS_DST(v)                                                      \
-    if constexpr (kAos)                                                \
-        d->dstVal = (v);                                               \
-    else if constexpr (kCold)                                          \
+    if constexpr (kCold)                                               \
         bufs.dstValP[n] = (v)
 #define LS_MEM(a_, v_)                                                 \
-    if constexpr (kAos) {                                              \
-        d->memAddr = (a_);                                             \
-        d->memVal = (v_);                                              \
-    } else if constexpr (kCold) {                                      \
+    if constexpr (kCold) {                                             \
         bufs.memAddrP[n] = (a_);                                       \
         bufs.memValP[n] = (v_);                                        \
     }
-// Resolved control fields. LS_TAKEN/LS_TARGET mirror the AoS patches;
-// the LS_SOA_* variants cover fields the AoS prototype already holds
-// (static targets, constant taken) that SoA planes must still record.
+// Resolved control fields, written to the hot planes.
 #define LS_TAKEN(v)                                                    \
-    if constexpr (kAos)                                                \
-        d->taken = (v);                                                \
-    else if constexpr (kSoa)                                           \
+    if constexpr (kSoa)                                                \
         bufs.takenP[n] = (v) ? 1 : 0
 #define LS_TARGET(v)                                                   \
-    if constexpr (kAos)                                                \
-        d->target = (v);                                               \
-    else if constexpr (kSoa)                                           \
-        bufs.targetP[n] = (v)
-#define LS_SOA_TAKEN1()                                                \
-    if constexpr (kSoa)                                                \
-        bufs.takenP[n] = 1
-#define LS_SOA_TARGET(v)                                               \
     if constexpr (kSoa)                                                \
         bufs.targetP[n] = (v)
 // Control-index append: only handlers of control ops reach this, so
@@ -858,7 +826,7 @@ ls_begin_op:
         LS_SRC1(b);
         bool cond = branchTaken(op->subop, a, b);
         LS_TAKEN(cond);
-        LS_SOA_TARGET(tgts[idx]); // AoS prototype holds the static target
+        LS_TARGET(tgts[idx]);
         if (cond)
             next_pc = tgts[idx];
         LS_CTRL();
@@ -866,8 +834,8 @@ ls_begin_op:
     LS_END_OP();
 
     LS_OP(Jmp)
-    LS_SOA_TAKEN1();
-    LS_SOA_TARGET(tgts[idx]);
+    LS_TAKEN(true);
+    LS_TARGET(tgts[idx]);
     next_pc = tgts[idx];
     LS_CTRL();
     LS_END_OP();
@@ -877,7 +845,7 @@ ls_begin_op:
         LS_SRC0(a);
         uint32_t t = static_cast<uint32_t>(a);
         checkDynTarget(t, cur_pc);
-        LS_SOA_TAKEN1();
+        LS_TAKEN(true);
         LS_TARGET(t);
         next_pc = t;
         LS_CTRL();
@@ -889,8 +857,8 @@ ls_begin_op:
         panic("%s: call depth limit exceeded at pc 0x%x",
               prog.name.c_str(), cur_pc);
     raStack.push_back(cur_pc + instrBytes);
-    LS_SOA_TAKEN1();
-    LS_SOA_TARGET(tgts[idx]);
+    LS_TAKEN(true);
+    LS_TARGET(tgts[idx]);
     next_pc = tgts[idx];
     LS_CTRL();
     LS_END_OP();
@@ -900,7 +868,7 @@ ls_begin_op:
         LS_SRC0(a);
         uint32_t t = static_cast<uint32_t>(a);
         checkDynTarget(t, cur_pc);
-        LS_SOA_TAKEN1();
+        LS_TAKEN(true);
         LS_TARGET(t);
         if (raStack.size() >= cfg.maxCallDepth)
             panic("%s: call depth limit exceeded at pc 0x%x",
@@ -918,7 +886,7 @@ ls_begin_op:
         uint32_t t = raStack.back();
         raStack.pop_back();
         checkDynTarget(t, cur_pc);
-        LS_SOA_TAKEN1();
+        LS_TAKEN(true);
         LS_TARGET(t);
         next_pc = t;
         LS_CTRL();
@@ -955,8 +923,6 @@ fill_done:
 #undef LS_MEM
 #undef LS_TAKEN
 #undef LS_TARGET
-#undef LS_SOA_TAKEN1
-#undef LS_SOA_TARGET
 #undef LS_CTRL
 #undef LS_OP
 #undef LS_END_OP
@@ -979,27 +945,8 @@ TraceEngine::run()
         return seq;
     }
 
-    if (!cfg.soaBatches) {
-        // Compatibility layout: AoS records + control index.
-        std::vector<DynInstr> buf(cfg.batchInstrs);
-        std::vector<uint32_t> ctrl(cfg.batchInstrs);
-        FillBufs fb;
-        fb.buf = buf.data();
-        fb.ctrl = ctrl.data();
-        while (!halted) {
-            size_t num_ctrl = 0;
-            size_t n =
-                fillCore<FillMode::Aos>(fb, cfg.batchInstrs, num_ctrl);
-            for (auto *obs : observers)
-                obs->onInstrBatchCtrl(buf.data(), n, ctrl.data(),
-                                      num_ctrl);
-        }
-        deliverEnd();
-        return seq;
-    }
-
     // SoA delivery. The cold operand/value planes are filled only when
-    // some observer needs full records (the materializing shim or a §4
+    // some observer needs full records (the per-record default or a §4
     // value consumer); an all-hot observer set costs ~10 B/instr.
     bool cold = false;
     for (auto *obs : observers)

@@ -15,9 +15,8 @@
  *    the hot loop executes from those flat arrays through a
  *    token-threaded dispatch (computed goto under GCC/Clang, a dense
  *    switch elsewhere), and retired records are delivered to observers
- *    in ~4K-instruction batches — SoA planes (onInstrBatchSoA) by
- *    default, AoS records (onInstrBatchCtrl) as the compatibility
- *    layout — one virtual call per batch instead of per instruction.
+ *    in ~4K-instruction SoA batches (onInstrBatchSoA) — one virtual
+ *    call per batch instead of per instruction.
  *
  * All paths produce bit-identical instruction streams and may be mixed
  * on one engine.
@@ -49,15 +48,6 @@ struct EngineConfig
 
     /** Records per observer batch on the run() fast path. */
     size_t batchInstrs = 4096;
-
-    /**
-     * Deliver run() batches as SoA planes (TraceObserver::onInstrBatchSoA)
-     * when true; as AoS DynInstr arrays (onInstrBatchCtrl) when false.
-     * Both deliveries carry bit-identical streams — AoS-only observers
-     * see materialized records through the SoA shim — so this is a
-     * layout/performance switch, not a semantic one.
-     */
-    bool soaBatches = true;
 };
 
 /**
@@ -167,7 +157,6 @@ class TraceEngine
     enum class FillMode : uint8_t
     {
         Unobserved, //!< no records: architectural effects only
-        Aos,        //!< DynInstr array + control index (compat layout)
         SoaHot,     //!< hot planes + control index only
         SoaFull,    //!< hot planes + operand/value cold planes
     };
@@ -175,7 +164,6 @@ class TraceEngine
     /** Output planes for fillCore; members for other modes stay null. */
     struct FillBufs
     {
-        DynInstr *buf = nullptr; //!< Aos
         uint32_t *ctrl = nullptr;
         uint32_t *pcP = nullptr; //!< SoaHot/SoaFull hot planes
         uint32_t *targetP = nullptr;
@@ -231,9 +219,9 @@ class TraceEngine
     /**
      * Per-static-instruction DynInstr prototype with every statically
      * known field prefilled (pc, opcode, kind, operand indices, direct
-     * targets, load/store flags). The hot loop copies the prototype and
-     * patches only the dynamic fields (seq, values, resolved control),
-     * replacing a zero-init plus a scatter of field stores.
+     * targets, load/store flags): the SoaBatch::templates that
+     * materialize() copies before patching the dynamic fields (seq,
+     * values, resolved control) from the planes.
      */
     std::vector<DynInstr> recTemplate;
 

@@ -508,42 +508,6 @@ TEST(Detector, OverlappedLoopsFigure2)
     EXPECT_TRUE(cap.traceDone);
 }
 
-TEST(Detector, PeriodicFlushEndsLiveExecutions)
-{
-    ProgramBuilder b("t", 0);
-    b.beginFunction("main");
-    b.li(r1, 0);
-    b.li(r2, 100);
-    b.countedLoop(r1, r2, [&](const LoopCtx &) {
-        for (int i = 0; i < 6; ++i)
-            b.nop();
-    });
-    b.halt();
-    Program p = b.build();
-
-    CaptureListener cap;
-    TraceEngine engine(p);
-    DetectorConfig cfg;
-    cfg.flushInterval = 100; // several flushes within the loop
-    LoopDetector det(cfg);
-    det.addListener(&cap);
-    engine.addObserver(&det);
-    engine.run();
-
-    size_t flushes = 0;
-    for (const auto &it : cap.items) {
-        if (it.kind == CaptureListener::Item::ExecEnd &&
-            it.reason == ExecEndReason::Flush)
-            ++flushes;
-    }
-    EXPECT_GT(flushes, 2u);
-    // Each flush forces re-detection: more executions than the
-    // unflushed single one, but conservation still holds.
-    EXPECT_EQ(cap.count(CaptureListener::Item::ExecStart),
-              cap.count(CaptureListener::Item::ExecEnd));
-    EXPECT_GE(cap.count(CaptureListener::Item::ExecStart), flushes);
-}
-
 TEST(Detector, FlushDisabledByDefault)
 {
     CaptureListener cap = trace(countedProgram(50));

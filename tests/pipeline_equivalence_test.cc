@@ -14,12 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "dataspec/data_profiler.hh"
+#include "dataspec/mem_trace.hh"
 #include "harness/runner.hh"
 #include "loop/loop_detector.hh"
 #include "loop/loop_stats.hh"
 #include "program/builder.hh"
 #include "speculation/event_record.hh"
 #include "speculation/ideal_tpc.hh"
+#include "synth/diff_checker.hh"
 #include "tables/hit_ratio.hh"
 #include "tests/test_util.hh"
 #include "trace_io/container.hh"
@@ -197,7 +200,7 @@ TEST(RunVsStep, MixedSteppingAndRunning)
 
 // ------------------------------------------------------------------
 // SoA batch delivery (tracegen/dyn_instr.hh): the hot planes, the
-// control index, and shim-materialized records must all be
+// control index, and materialized records must all be
 // bit-identical to the step() reference — at the default batch size,
 // at odd batch sizes that misalign every batch boundary, and under
 // mid-stream fuel truncation.
@@ -251,8 +254,8 @@ class HotPlaneCollector : public TraceObserver
     BatchNeed batchNeed() const override { return BatchNeed::HotPlanes; }
 };
 
-/** FullRecords consumer that rebuilds every AoS record itself via
- *  SoaBatch::materialize() instead of the default shim. */
+/** FullRecords consumer that rebuilds every record itself via
+ *  SoaBatch::materialize() instead of the per-record default. */
 class MaterializingCollector : public TraceObserver
 {
   public:
@@ -390,11 +393,11 @@ struct Artifacts
 
 Artifacts
 collect(const Program &prog, size_t cls, uint64_t max_instrs, bool scalar,
-        bool soa_batches = true)
+        size_t batch_instrs = 4096)
 {
     EngineConfig cfg;
     cfg.maxInstrs = max_instrs;
-    cfg.soaBatches = soa_batches;
+    cfg.batchInstrs = batch_instrs;
     TraceEngine engine(prog, cfg);
     LoopDetector det({cls});
     LoopStats stats;
@@ -461,18 +464,18 @@ TEST(BatchVsScalar, PipelineArtifactsIdentical)
 
 TEST(BatchVsScalar, ArtifactsIdenticalAcrossLayoutsAtEveryClsSize)
 {
-    // Scalar step(), SoA hot-plane run(), and direct-AoS run() (the
-    // non-GNU fallback layout) must agree on every Table-1/Figure-4
-    // artifact at CLS 4/8/16 — the detector consumes a different
-    // delivery form in each case.
+    // Scalar step() and hot-plane run() at the default and an odd batch
+    // size must agree on every Table-1/Figure-4 artifact at CLS 4/8/16 —
+    // the detector consumes per-record calls, and batches whose
+    // boundaries fall at different positions.
     for (const char *name : kWorkloads) {
         SCOPED_TRACE(name);
         Program p = buildWorkload(name, {kScale});
         for (size_t cls : {4u, 8u, 16u}) {
             SCOPED_TRACE(cls);
             Artifacts ref = collect(p, cls, 0, true);
-            expectSameArtifacts(collect(p, cls, 0, false, true), ref);
-            expectSameArtifacts(collect(p, cls, 0, false, false), ref);
+            expectSameArtifacts(collect(p, cls, 0, false), ref);
+            expectSameArtifacts(collect(p, cls, 0, false, 999), ref);
         }
     }
 }
@@ -492,6 +495,135 @@ recordOnce(const Program &prog, size_t cls, uint64_t max_instrs = 0)
     engine.addObserver(&ctr);
     engine.run();
     return {ctr.take(), rec.take()};
+}
+
+// ------------------------------------------------------------------
+// The detector's one batch walk hops along the control index over the
+// hot planes; a record-reading listener (DataSpecProfiler) additionally
+// gets spans of a per-batch materialized copy. Either way the events,
+// and what the record reader computes, must equal scalar delivery.
+
+struct DetectorRun
+{
+    synth::EventLog log;
+    DataSpecReport dataSpec;
+    BatchNeed need = BatchNeed::HotPlanes;
+};
+
+DetectorRun
+detectOnce(const Program &prog, bool scalar, size_t batch_instrs,
+           bool profile)
+{
+    EngineConfig cfg;
+    cfg.batchInstrs = batch_instrs;
+    TraceEngine engine(prog, cfg);
+    LoopDetector det({16});
+    DataSpecProfiler profiler;
+    DetectorRun out;
+    det.addListener(&out.log);
+    if (profile)
+        det.addListener(&profiler);
+    out.need = det.batchNeed();
+    engine.addObserver(&det);
+    if (scalar) {
+        DynInstr d;
+        while (engine.step(d)) {
+        }
+    } else {
+        engine.run();
+    }
+    if (profile)
+        out.dataSpec = profiler.report();
+    return out;
+}
+
+void
+expectSameDataSpec(const DataSpecReport &a, const DataSpecReport &b)
+{
+    EXPECT_EQ(a.itersEvaluated, b.itersEvaluated);
+    EXPECT_EQ(a.modalIters, b.modalIters);
+    EXPECT_EQ(a.lrTotal, b.lrTotal);
+    EXPECT_EQ(a.lrCorrect, b.lrCorrect);
+    EXPECT_EQ(a.lmTotal, b.lmTotal);
+    EXPECT_EQ(a.lmCorrect, b.lmCorrect);
+    EXPECT_EQ(a.lmIters, b.lmIters);
+    EXPECT_EQ(a.allLrIters, b.allLrIters);
+    EXPECT_EQ(a.allLmIters, b.allLmIters);
+    EXPECT_EQ(a.allDataIters, b.allDataIters);
+}
+
+TEST(DetectorBatchWalk, EventsMatchScalarWithAndWithoutRecordReader)
+{
+    for (const char *name : kWorkloads) {
+        SCOPED_TRACE(name);
+        Program p = buildWorkload(name, {kScale});
+        for (bool profile : {false, true}) {
+            SCOPED_TRACE(profile ? "with DataSpecProfiler" : "hot only");
+            const DetectorRun ref = detectOnce(p, true, 4096, profile);
+            EXPECT_EQ(ref.need, profile ? BatchNeed::FullRecords
+                                        : BatchNeed::HotPlanes);
+            ASSERT_TRUE(ref.log.done);
+            ASSERT_FALSE(ref.log.events.empty());
+            if (profile) {
+                ASSERT_GT(ref.dataSpec.lrTotal, 0u);
+            }
+            for (size_t batch : {1u, 999u, 4096u}) {
+                SCOPED_TRACE(batch);
+                const DetectorRun got = detectOnce(p, false, batch, profile);
+                EXPECT_EQ(got.log.totalInstrs, ref.log.totalInstrs);
+                ASSERT_EQ(got.log.events.size(), ref.log.events.size());
+                for (size_t i = 0; i < ref.log.events.size(); ++i) {
+                    ASSERT_EQ(got.log.events[i], ref.log.events[i])
+                        << "event " << i << ": "
+                        << synth::describeEvent(got.log.events[i])
+                        << " vs "
+                        << synth::describeEvent(ref.log.events[i]);
+                }
+                expectSameDataSpec(got.dataSpec, ref.dataSpec);
+            }
+        }
+    }
+}
+
+TEST(MemTraceRecorder, BatchedPlanesMatchScalarRecords)
+{
+    for (const char *name : kWorkloads) {
+        SCOPED_TRACE(name);
+        Program p = buildWorkload(name, {kScale});
+        MemTraceRecorder scalar_rec;
+        {
+            TraceEngine engine(p);
+            engine.addObserver(&scalar_rec);
+            DynInstr d;
+            while (engine.step(d)) {
+            }
+        }
+        const MemAccessTrace ref = scalar_rec.take();
+        ASSERT_FALSE(ref.accesses.empty());
+        for (size_t batch : {999u, 4096u}) {
+            SCOPED_TRACE(batch);
+            EngineConfig cfg;
+            cfg.batchInstrs = batch;
+            TraceEngine engine(p, cfg);
+            MemTraceRecorder rec;
+            engine.addObserver(&rec);
+            engine.run();
+            const MemAccessTrace got = rec.take();
+            EXPECT_EQ(got.accesses.size(), ref.accesses.size());
+            EXPECT_EQ(got.stateHash(), ref.stateHash());
+        }
+    }
+}
+
+TEST(ControlReplayDeathTest, FullRecordsObserverIsRejected)
+{
+    // A control trace carries no operand values, so an observer that
+    // asks for full records has nothing to be handed.
+    Program p = buildWorkload("compress", {kScale});
+    const ControlTrace trace = recordOnce(p, 16).first;
+    Collector needs_records;
+    EXPECT_DEATH(replayControlTrace(trace, needs_records),
+                 "BatchNeed::HotPlanes");
 }
 
 TEST(ControlReplay, Table1ArtifactsMatchDirectAtEveryClsSize)
