@@ -5,9 +5,10 @@
  * (docs/PREDICTORS.md). A TraceObserver, so it attaches to a
  * TraceEngine next to the LoopDetector and sees the identical stream;
  * the batch path walks only the producer's control index over the hot
- * planes, so it never asks for the cold operand planes. Control-trace replay feeds
- * the same fields (pc, kind, taken), so a replay-derived meter is
- * bit-identical to a live one — runWorkload's --check-replay pins that.
+ * planes, so it never asks for the cold operand planes. Control-trace
+ * replay feeds the same fields (pc, kind, taken), so a replay-derived
+ * meter is bit-identical to a live one — runWorkload's --check-replay
+ * pins that.
  */
 
 #ifndef LOOPSPEC_PREDICT_PREDICTOR_METER_HH
