@@ -11,8 +11,10 @@
  * same grids served by a SweepServer over its socket; the predictor
  * meters of bench_predict_cmp's default battery (live and from
  * --trace-dir), the §4 DataSpecReport and a data-speculation sweep grid
- * (live only: both read operand values). Every artifact is regenerated
- * at a pool width of 1 and of 4 and must hit the same digest.
+ * (live only: both read operand values); the `paper` preset grid's
+ * sweep JSON and bench_ablation's stdout. Every in-process artifact is
+ * regenerated at a pool width of 1 and of 4 and must hit the same
+ * digest.
  *
  * The digests pin the artifacts across refactors of the derive path. A
  * change that is meant to move an artifact edits digests.txt by hand;
@@ -387,4 +389,32 @@ TEST(ArtifactDigest, SweepdResponsesMatchCommittedDigests)
         ::close(fd);
         server.stop();
     }
+}
+
+TEST(ArtifactDigest, PaperGridSweepJsonMatchesCommittedDigest)
+{
+    for (unsigned width : kWidths) {
+        expectDigest("sweep_paper",
+                     sweepText(runSpecSweep(gridFor("paper", ""), width)),
+                     "live jobs=" + std::to_string(width));
+    }
+}
+
+TEST(ArtifactDigest, AblationStdoutMatchesCommittedDigest)
+{
+#ifndef LOOPSPEC_BENCH_ABLATION
+    GTEST_SKIP() << "bench_ablation is not built (LOOPSPEC_BUILD_BENCH=OFF)";
+#else
+    const std::string cmd =
+        std::string(LOOPSPEC_BENCH_ABLATION) + " --scale 0.05";
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << cmd;
+    std::string out;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
+        out.append(buf, n);
+    ASSERT_EQ(::pclose(pipe), 0) << cmd;
+    expectDigest("bench_ablation", out, "--scale 0.05");
+#endif
 }
