@@ -335,8 +335,9 @@ applyGridSpec(const std::string &spec, SweepGrid *grid)
                 err = tryParseGridU64(v, "grid tus", &n);
                 if (!err.empty())
                     return err;
-                if (n < 1)
-                    return "grid: TU count must be >= 1";
+                if (n < 1 || n > UINT32_MAX)
+                    return strprintf("grid: TU count must be in [1, %u]",
+                                     UINT32_MAX);
                 grid->tuCounts.push_back(static_cast<unsigned>(n));
             }
         } else if (key == "cls") {

@@ -379,6 +379,47 @@ TEST(SweepServiceValidation, RejectsBadRemoteInputWithDiagnostics)
     EXPECT_NE(svc.validateGrid(cr), "");
 }
 
+TEST(SweepServiceValidation, TuCountsThatWouldNarrowAreRejected)
+{
+    // TU counts are parsed as 64-bit values and stored as unsigned: 2^32
+    // used to wrap to 0 TUs, and 2^32 + 1 to a 1-TU cell.
+    const char *const hostile[] = {"4294967296", "4294967297"};
+    for (const char *tus : hostile) {
+        SweepGrid grid;
+        EXPECT_NE(applyGridSpec(std::string("policies=str;tus=") + tus,
+                                &grid),
+                  "")
+            << tus;
+    }
+
+    SweepServerConfig cfg;
+    cfg.socketPath = strprintf("/tmp/sweepd_test_tus_%d.sock",
+                               static_cast<int>(getpid()));
+    SweepServer server(cfg);
+    ASSERT_EQ(server.start(), "");
+    std::string err;
+    int fd = connectUnixSocket(cfg.socketPath, &err);
+    ASSERT_GE(fd, 0) << err;
+    for (const char *tus : hostile) {
+        SweepRequest req;
+        req.grid = std::string("policies=str;tus=") + tus;
+        req.benchmarks = "compress";
+        req.scale = "0.05";
+        ASSERT_EQ(writeFrame(fd, MsgType::SweepReq, encodeSweepRequest(req)),
+                  "");
+        MsgType type{};
+        std::string response;
+        bool eof = false;
+        ASSERT_EQ(readFrame(fd, &type, &response, kMaxResponseBytes, &eof),
+                  "");
+        EXPECT_EQ(type, MsgType::ErrResp) << tus;
+        EXPECT_NE(response.find("TU count"), std::string::npos) << response;
+    }
+    ::close(fd);
+    server.stop();
+    EXPECT_EQ(server.service().requestsServed(), 0u);
+}
+
 // -------------------------------------------------------- served bit-identity
 
 TEST(SweepService, ServedResultsMatchDirectSweepBitForBit)
