@@ -44,15 +44,6 @@ ProgramBuilder::beginFunction(const std::string &fn)
     functions[fn] = currentAddr();
 }
 
-uint32_t
-ProgramBuilder::addrOf(Label label) const
-{
-    LOOPSPEC_ASSERT(label.valid() && label.id < labelAddrs.size());
-    uint32_t a = labelAddrs[label.id];
-    LOOPSPEC_ASSERT(a != UINT32_MAX, "label not bound");
-    return a;
-}
-
 Instr &
 ProgramBuilder::emit(Opcode op)
 {

@@ -79,9 +79,6 @@ class ProgramBuilder
      */
     void beginFunction(const std::string &fn);
 
-    /** Address that @p label will resolve to; label must be bound. */
-    uint32_t addrOf(Label label) const;
-
     /** Current emission address. */
     uint32_t currentAddr() const { return addrOfIndex(code.size()); }
 

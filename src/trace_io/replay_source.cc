@@ -102,12 +102,6 @@ StreamedControlSource::pump(uint64_t chunk_instrs)
     return false;
 }
 
-uint64_t
-StreamedControlSource::position() const
-{
-    return pumpImpl ? pumpImpl->position() : 0;
-}
-
 std::string
 interleaveReplay(const std::vector<ReplaySource *> &sources,
                  uint64_t chunk_instrs)

@@ -44,9 +44,6 @@ class ReplaySource
     /** Advance roughly @p chunk_instrs instructions. */
     virtual bool pump(uint64_t chunk_instrs) = 0;
 
-    /** Trace position reached so far (retired-instruction index). */
-    virtual uint64_t position() const = 0;
-
     /** "" unless the replay failed (streamed sources only). */
     virtual const std::string &error() const = 0;
 };
@@ -65,7 +62,6 @@ class ControlTraceSource : public ReplaySource
                       uint64_t max_instrs = 0, size_t batch_instrs = 4096);
 
     bool pump(uint64_t chunk_instrs) override;
-    uint64_t position() const override { return synth.position(); }
     const std::string &error() const override { return err; }
 
     /** Instructions replayed; valid once pump() has returned false. */
@@ -93,7 +89,6 @@ class EventRecordingSource : public ReplaySource
                          std::vector<LoopListener *> listeners);
 
     bool pump(uint64_t chunk_instrs) override;
-    uint64_t position() const override { return pos; }
     const std::string &error() const override { return err; }
 
   private:
@@ -119,7 +114,6 @@ class StreamedControlSource : public ReplaySource
                           uint64_t max_instrs = 0);
 
     bool pump(uint64_t chunk_instrs) override;
-    uint64_t position() const override;
     const std::string &error() const override { return err; }
 
   private:

@@ -358,12 +358,6 @@ TraceFileStreamer::ControlPump::pump(uint64_t chunk_instrs)
     return true;
 }
 
-uint64_t
-TraceFileStreamer::ControlPump::position() const
-{
-    return impl->synth.position();
-}
-
 std::unique_ptr<TraceFileStreamer::ControlPump>
 TraceFileStreamer::openControlPump(TraceObserver &observer,
                                    uint64_t max_instrs, std::string *err)

@@ -108,9 +108,6 @@ class TraceFileStreamer
          *  Must not be called again after returning false. */
         bool pump(uint64_t chunk_instrs);
 
-        /** Instructions synthesized so far. */
-        uint64_t position() const;
-
         const std::string &error() const { return err; }
 
       private:
