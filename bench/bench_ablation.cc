@@ -38,10 +38,10 @@ LoopStatsReport
 clsSweepPoint(const ControlTrace &trace, size_t cls_entries)
 {
     LoopDetector det({cls_entries});
-    LoopStats stats;
-    det.addListener(&stats);
-    replayControlTrace(trace, det);
-    return stats.report();
+    LoopEventRecorder rec;
+    det.addListener(&rec);
+    const uint64_t n = replayControlTrace(trace, det);
+    return loopStatsFromRecording(rec.take(), n);
 }
 
 } // namespace

@@ -102,8 +102,9 @@ BM_EngineThroughputScalar(benchmark::State &state)
 }
 BENCHMARK(BM_EngineThroughputScalar)->Unit(benchmark::kMillisecond);
 
-/** Engine + detector + stats (the Table-1 pipeline) throughput:
- *  0 = SoA hot-plane batches (run), 1 = scalar (step) delivery. */
+/** Engine + detector + recorder + Table 1 from the recording (the
+ *  Table-1 pipeline) throughput: 0 = SoA hot-plane batches (run),
+ *  1 = scalar (step) delivery. */
 void
 BM_DetectorThroughput(benchmark::State &state)
 {
@@ -114,17 +115,20 @@ BM_DetectorThroughput(benchmark::State &state)
         Program p = buildCompress(scale);
         TraceEngine engine(p);
         LoopDetector det({16});
-        LoopStats stats;
-        det.addListener(&stats);
+        LoopEventRecorder rec;
+        det.addListener(&rec);
         engine.addObserver(&det);
+        uint64_t n = 0;
         if (mode == 1) {
             DynInstr d;
             while (engine.step(d)) {
             }
-            instrs += engine.retired();
+            n = engine.retired();
         } else {
-            instrs += engine.run();
+            n = engine.run();
         }
+        benchmark::DoNotOptimize(loopStatsFromRecording(rec.take(), n));
+        instrs += n;
     }
     state.counters["instr/s"] = benchmark::Counter(
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
@@ -150,8 +154,8 @@ BM_ControlReplayThroughput(benchmark::State &state)
     uint64_t instrs = 0;
     for (auto _ : state) {
         LoopDetector det({16});
-        LoopStats stats;
-        det.addListener(&stats);
+        LoopEventRecorder rec;
+        det.addListener(&rec);
         instrs += replayControlTrace(trace, det);
     }
     state.counters["instr/s"] = benchmark::Counter(
@@ -178,12 +182,12 @@ BM_MultiReplayThroughput(benchmark::State &state)
     uint64_t instrs = 0;
     for (auto _ : state) {
         std::vector<std::unique_ptr<LoopDetector>> dets;
-        std::vector<std::unique_ptr<LoopStats>> stats;
+        std::vector<std::unique_ptr<LoopEventRecorder>> recs;
         for (size_t cls : clsSizes) {
             dets.push_back(std::make_unique<LoopDetector>(
                 DetectorConfig{cls}));
-            stats.push_back(std::make_unique<LoopStats>());
-            dets.back()->addListener(stats.back().get());
+            recs.push_back(std::make_unique<LoopEventRecorder>());
+            dets.back()->addListener(recs.back().get());
         }
         if (mode == 1) {
             std::vector<std::unique_ptr<ControlTraceSource>> sources;

@@ -7,24 +7,25 @@
  *
  *   scalar  - the seed pipeline: step() reference interpreter with
  *             per-instruction observer dispatch, every listener (stats,
- *             8 hit meters, recorder) attached live and hearing every
- *             onInstr — the dispatch contract the seed harness had.
- *             Forwarding shims restore that contract, since event-only
- *             listener filtering is one of the batched path's
- *             optimizations.
+ *             8 hit meters, recorder) attached live and hearing one
+ *             virtual per-instruction call per retired instruction —
+ *             the dispatch contract the seed harness had. A bench-local
+ *             observer shim restores that contract, since listeners
+ *             now see loop events only.
  *   batched_soa - the runWorkload pipeline: run() delivering
  *             structure-of-arrays batches (hot pc/target/kind/taken
  *             planes only, since every rider reports
  *             BatchNeed::HotPlanes) through the token-threaded fill
  *             loop and the detector's prefetched control-index walk.
- *             Only stats and the recorder ride the trace; the 8 meters
- *             are derived afterwards by replaying the recorded
- *             loop-event stream (replay time is included).
+ *             Only the recorder rides the trace; Table 1 and the 8
+ *             meters are derived afterwards from the recording (derive
+ *             time is included).
  *   replay_seq - the derived-configuration stage of a record/replay
  *             sweep without interleaving: four detectors at different
- *             CLS sizes (stats + ideal-TPC each) re-run one after
- *             another over a prerecorded control-event trace, each pass
- *             its own hot-plane gap-free synthesis.
+ *             CLS sizes re-run one after another over a prerecorded
+ *             control-event trace, each pass its own hot-plane gap-free
+ *             synthesis, each recording then reduced to Table 1 and the
+ *             ideal TPC (timed).
  *   replay_ilv - the same four derived configurations advanced
  *             round-robin in fixed-size chunks (interleaveReplay) so
  *             each stretch of the recorded trace is pulled through the
@@ -86,45 +87,44 @@ struct PathResult
 };
 
 /**
- * Restores the seed's listener dispatch contract for the scalar
- * baseline: every listener heard onInstr for every retired instruction
- * (consumesInstrs-based filtering did not exist).
+ * Restores the seed's per-instruction dispatch for the scalar baseline:
+ * every seed-era listener heard one virtual onInstr call per retired
+ * instruction, before the detector dispatched it. Table-1 counting is
+ * the only hook with work (it credits the stats model); the others
+ * stand for the meters and the recorder, which ignored instructions.
  */
-class SeedDispatchShim : public LoopListener
+class SeedDispatchShim : public TraceObserver
 {
   public:
-    explicit SeedDispatchShim(LoopListener *l) : inner(l) {}
+    struct Hook
+    {
+        virtual ~Hook() = default;
+        virtual void onInstr(const DynInstr &d) { (void)d; }
+    };
+    struct CountingHook : Hook
+    {
+        explicit CountingHook(InstrCountingListener &m) : model(m) {}
+        void onInstr(const DynInstr &) override { model.countInstrs(1); }
+        InstrCountingListener &model;
+    };
 
-    void onInstr(const DynInstr &d) override { inner->onInstr(d); }
+    explicit SeedDispatchShim(LoopDetector &detector) : det(detector) {}
+
+    void add(std::unique_ptr<Hook> hook) { hooks.push_back(std::move(hook)); }
+
     void
-    onExecStart(const ExecStartEvent &ev) override
+    onInstr(const DynInstr &d) override
     {
-        inner->onExecStart(ev);
+        for (auto &h : hooks)
+            h->onInstr(d);
+        det.onInstr(d);
     }
-    void
-    onIterStart(const IterEvent &ev) override
-    {
-        inner->onIterStart(ev);
-    }
-    void onIterEnd(const IterEvent &ev) override { inner->onIterEnd(ev); }
-    void
-    onExecEnd(const ExecEndEvent &ev) override
-    {
-        inner->onExecEnd(ev);
-    }
-    void
-    onSingleIterExec(const SingleIterExecEvent &ev) override
-    {
-        inner->onSingleIterExec(ev);
-    }
-    void
-    onTraceDone(uint64_t total) override
-    {
-        inner->onTraceDone(total);
-    }
+
+    void onTraceEnd(uint64_t total) override { det.onTraceEnd(total); }
 
   private:
-    LoopListener *inner;
+    LoopDetector &det;
+    std::vector<std::unique_ptr<Hook>> hooks;
 };
 
 /** The LET/LIT meter bank of Figure 4. */
@@ -229,17 +229,19 @@ main(int argc, char **argv)
         PathResult r;
         TraceEngine engine(prog, ecfg);
         LoopDetector det({opts.clsEntries});
-        LoopStats stats;
+        LoopStatsModel stats;
         LoopEventRecorder recorder;
         MeterBank meters;
-        std::vector<std::unique_ptr<SeedDispatchShim>> shims;
-        shims.push_back(std::make_unique<SeedDispatchShim>(&stats));
-        for (auto *m : meters.listeners())
-            shims.push_back(std::make_unique<SeedDispatchShim>(m));
-        shims.push_back(std::make_unique<SeedDispatchShim>(&recorder));
-        for (auto &s : shims)
-            det.addListener(s.get());
-        engine.addObserver(&det);
+        SeedDispatchShim shim(det);
+        det.addListener(&stats);
+        shim.add(std::make_unique<SeedDispatchShim::CountingHook>(stats));
+        for (auto *m : meters.listeners()) {
+            det.addListener(m);
+            shim.add(std::make_unique<SeedDispatchShim::Hook>());
+        }
+        det.addListener(&recorder);
+        shim.add(std::make_unique<SeedDispatchShim::Hook>());
+        engine.addObserver(&shim);
         DynInstr d;
         double t0 = now();
         while (engine.step(d)) {
@@ -253,24 +255,22 @@ main(int argc, char **argv)
     });
 
     // Batched fast path, exactly the runWorkload pipeline: predecoded
-    // run() delivering hot-plane batches with stats + recorder live,
-    // meters derived by loop-event replay (timed).
+    // run() delivering hot-plane batches with the recorder live, Table 1
+    // and the meters derived from the recording (timed).
     PathResult batched_soa = best(reps, [&] {
         PathResult r;
         TraceEngine engine(prog, ecfg);
         LoopDetector det({opts.clsEntries});
-        LoopStats stats;
         LoopEventRecorder recorder;
-        det.addListener(&stats);
         det.addListener(&recorder);
         engine.addObserver(&det);
         MeterBank meters;
         double t0 = now();
         r.instrs = engine.run();
         LoopEventRecording rec = recorder.take();
+        r.stats = loopStatsFromRecording(rec, rec.totalInstrs);
         replayLoopEvents(rec, meters.listeners());
         r.seconds = now() - t0;
-        r.stats = stats.report();
         r.meterHits = meters.totalHits();
         return r;
     });
@@ -278,8 +278,9 @@ main(int argc, char **argv)
 
     // Replay pair: one recording pass (untimed), then the derived-
     // configuration stage of a sweep — four CLS sizes, each a detector
-    // with stats + ideal-TPC — sequentially and interleaved. instrs is
-    // the total work (4x the trace), so Minstr/s stays comparable.
+    // whose recording yields Table 1 and the ideal TPC — sequentially
+    // and interleaved. instrs is the total work (4x the trace), so
+    // Minstr/s stays comparable.
     ControlTrace trace;
     {
         TraceEngine engine(prog, ecfg);
@@ -293,12 +294,10 @@ main(int argc, char **argv)
     struct DerivedConfig
     {
         LoopDetector det;
-        LoopStats stats;
-        IdealTpcComputer ideal;
+        LoopEventRecorder rec;
         explicit DerivedConfig(size_t cls) : det({cls})
         {
-            det.addListener(&stats);
-            det.addListener(&ideal);
+            det.addListener(&rec);
         }
     };
     struct ReplayResult
@@ -320,8 +319,10 @@ main(int argc, char **argv)
                              std::vector<std::unique_ptr<DerivedConfig>>
                                  &configs) {
         for (auto &cfg : configs) {
-            r.stats.push_back(cfg->stats.report());
-            r.idealCycles.push_back(cfg->ideal.idealCycles());
+            const LoopEventRecording rec = cfg->rec.take();
+            r.stats.push_back(loopStatsFromRecording(rec, rec.totalInstrs));
+            r.idealCycles.push_back(
+                idealFromRecording(rec, rec.totalInstrs).cycles);
         }
     };
     const auto best_replay = [&](auto &&once) {
@@ -344,8 +345,8 @@ main(int argc, char **argv)
         double t0 = now();
         for (auto &cfg : configs)
             r.instrs += replayControlTrace(trace, cfg->det);
-        r.seconds = now() - t0;
         harvest(r, configs);
+        r.seconds = now() - t0;
         return r;
     });
     ReplayResult replay_ilv = best_replay([&] {
@@ -365,8 +366,8 @@ main(int argc, char **argv)
             fatal("%s", err.c_str());
         for (auto &src : sources)
             r.instrs += src->replayed();
-        r.seconds = now() - t0;
         harvest(r, configs);
+        r.seconds = now() - t0;
         return r;
     });
     for (size_t c = 0; c < derivedCls.size(); ++c) {

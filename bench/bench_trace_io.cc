@@ -12,11 +12,11 @@
  *               peak buffered byte count is reported so the artifact
  *               records the out-of-core guarantee next to its cost.
  *
- * Both replays drive an identical LoopDetector + LoopStats pipeline and
- * must agree with a direct replay of the recorded trace on every
- * Table-1 statistic; any disagreement is fatal. Emits
- * BENCH_trace_io.json (--json overrides) for the perf trajectory; the
- * CI perf-smoke step uploads it.
+ * Both replays drive an identical LoopDetector + recorder pipeline; the
+ * Table 1 derived from each recording must agree with a direct replay
+ * of the recorded trace on every statistic; any disagreement is fatal.
+ * Emits BENCH_trace_io.json (--json overrides) for the perf trajectory;
+ * the CI perf-smoke step uploads it.
  *
  * Flags: --benchmark <name> (default compress), --reps N (default 3,
  * best-of-N), --json <path>, plus the standard --scale/--max-instrs/
@@ -86,16 +86,18 @@ perSec(uint64_t count, double seconds)
     return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
 }
 
-/** Detector + LoopStats replay pipeline shared by every path. */
+/** Detector + recorder replay pipeline shared by every path, reduced
+ *  to Table 1. */
 template <typename Fn>
 LoopStatsReport
 replayStats(size_t cls, Fn &&go)
 {
     LoopDetector det({cls});
-    LoopStats stats;
-    det.addListener(&stats);
+    LoopEventRecorder rec;
+    det.addListener(&rec);
     go(det);
-    return stats.report();
+    const LoopEventRecording recording = rec.take();
+    return loopStatsFromRecording(recording, recording.totalInstrs);
 }
 
 void

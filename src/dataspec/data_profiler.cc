@@ -75,61 +75,79 @@ DataSpecProfiler::findFrame(uint64_t exec_id) const
 }
 
 void
+DataSpecProfiler::attach(LoopDetector &detector)
+{
+    detector.addListener(this);
+    detector.setInstrConsumer(this);
+}
+
+void
 DataSpecProfiler::onInstr(const DynInstr &d)
 {
     if (frames.empty())
         return;
+    profileInstr(d, d.taken, d.target, d.srcVal[0], d.srcVal[1],
+                 d.memAddr, d.memVal);
+}
 
+void
+DataSpecProfiler::onSpan(const SoaBatch &b, size_t begin, size_t count)
+{
+    // The frame stack is constant across a span; hoist the no-live-loop
+    // check (most of a trace retires outside any detected execution).
+    if (frames.empty())
+        return;
+    for (size_t i = begin; i < begin + count; ++i) {
+        profileInstr(b.templates[b.sidx[i]], b.taken[i] != 0, b.target[i],
+                     b.srcVal0[i], b.srcVal1[i], b.memAddr[i],
+                     b.memVal[i]);
+    }
+}
+
+void
+DataSpecProfiler::profileInstr(const DynInstr &stat, bool taken,
+                               uint32_t target, int64_t src_val0,
+                               int64_t src_val1, uint64_t mem_addr,
+                               int64_t mem_val)
+{
+    const int64_t src_val[2] = {src_val0, src_val1};
     for (auto &f : frames) {
         // Control flow shapes the iteration's path.
-        if (d.kind != CtrlKind::None) {
+        if (stat.kind != CtrlKind::None) {
             f.pathHash =
-                mixPath(f.pathHash, d.pc, d.taken,
-                        d.taken ? d.target : 0);
+                mixPath(f.pathHash, stat.pc, taken, taken ? target : 0);
         }
 
         // Register reads before writes are live-ins; capture the value
         // at the first read. r0 is architecturally zero and excluded.
-        for (unsigned s = 0; s < d.numSrc; ++s) {
-            uint8_t r = d.srcReg[s];
+        for (unsigned s = 0; s < stat.numSrc; ++s) {
+            uint8_t r = stat.srcReg[s];
             if (r == 0)
                 continue;
             uint32_t bit = 1u << r;
             if ((f.writtenMask & bit) || (f.readFirstMask & bit))
                 continue;
             f.readFirstMask |= bit;
-            f.firstVal[r] = d.srcVal[s];
+            f.firstVal[r] = src_val[s];
         }
-        if (d.hasDst && d.dstReg != 0)
-            f.writtenMask |= 1u << d.dstReg;
+        if (stat.hasDst && stat.dstReg != 0)
+            f.writtenMask |= 1u << stat.dstReg;
 
         // Memory: loads from addresses not stored earlier this iteration
         // are live-in locations, keyed by static load PC.
-        if (d.isLoad) {
-            if (!f.memOverflow && !f.written.count(d.memAddr) &&
+        if (stat.isLoad) {
+            if (!f.memOverflow && !f.written.count(mem_addr) &&
                 f.loads.size() < cfg.maxLoadPcs) {
-                f.loads.emplace(d.pc,
-                                std::make_pair(d.memAddr, d.memVal));
+                f.loads.emplace(stat.pc, std::make_pair(mem_addr, mem_val));
             }
-        } else if (d.isStore) {
+        } else if (stat.isStore) {
             if (!f.memOverflow) {
-                f.written.insert(d.memAddr);
+                f.written.insert(mem_addr);
                 if (f.written.size() > cfg.writtenSetCap)
                     f.memOverflow = true;
             }
         }
     }
-}
-
-void
-DataSpecProfiler::onInstrSpan(const DynInstr *instrs, size_t count)
-{
-    // The frame stack is constant across a span; hoist the no-live-loop
-    // check (most of a trace retires outside any detected execution).
-    if (frames.empty())
-        return;
-    for (size_t i = 0; i < count; ++i)
-        onInstr(instrs[i]);
 }
 
 void

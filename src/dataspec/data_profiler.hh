@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "isa/instr.hh"
-#include "loop/loop_event.hh"
+#include "loop/loop_detector.hh"
 #include "predict/live_in.hh"
 
 namespace loopspec
@@ -86,16 +86,23 @@ struct DataSpecReport
 };
 
 /**
- * The profiler. Attach as a LoopListener to a LoopDetector; the report is
- * available after onTraceDone.
+ * The profiler. attach() makes it both a listener of a LoopDetector (the
+ * iteration boundaries) and the detector's instruction consumer (the
+ * operands, read straight from the cold planes on the batch path); the
+ * report is available after onTraceDone. The bases are private so it
+ * cannot be attached as a listener alone, which would starve it of
+ * instructions.
  */
-class DataSpecProfiler : public LoopListener
+class DataSpecProfiler : private LoopListener, private InstrConsumer
 {
   public:
     explicit DataSpecProfiler(DataSpecConfig config = {});
 
+    /** Attach to @p detector as listener and instruction consumer. */
+    void attach(LoopDetector &detector);
+
     void onInstr(const DynInstr &instr) override;
-    void onInstrSpan(const DynInstr *instrs, size_t count) override;
+    void onSpan(const SoaBatch &batch, size_t begin, size_t count) override;
     void onExecStart(const ExecStartEvent &ev) override;
     void onIterStart(const IterEvent &ev) override;
     void onIterEnd(const IterEvent &ev) override;
@@ -172,6 +179,13 @@ class DataSpecProfiler : public LoopListener
 
         void resetIteration();
     };
+
+    /** The per-instruction body both deliveries share: @p stat carries
+     *  the static fields (the record itself, or the batch's template),
+     *  the rest are the dynamic fields it reads. */
+    void profileInstr(const DynInstr &stat, bool taken, uint32_t target,
+                      int64_t src_val0, int64_t src_val1,
+                      uint64_t mem_addr, int64_t mem_val);
 
     /** Finalize the frame's current iteration: evaluate + update. */
     void evaluateIteration(Frame &frame, uint32_t iter_index);

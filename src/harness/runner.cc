@@ -138,31 +138,23 @@ class FanoutObserver : public TraceObserver
     std::vector<TraceObserver *> targets;
 };
 
-/** The listeners behind Table 1, Figure 4 and the full ideal TPC. */
-struct Derived
+/** The Figure-4 meters: the only listeners a derive step replays. */
+struct Meters
 {
-    LoopStats stats;
     std::vector<std::unique_ptr<LetHitMeter>> lets;
     std::vector<std::unique_ptr<LitHitMeter>> lits;
-    IdealTpcComputer ideal;
 
-    /** @p flags' listeners, for a replay or a live pass. */
+    /** One LET and one LIT meter per hitRatioTableSizes() entry. */
     std::vector<LoopListener *>
-    listeners(const CollectFlags &flags)
+    listeners()
     {
         std::vector<LoopListener *> out;
-        if (flags.loopStats)
-            out.push_back(&stats);
-        if (flags.hitRatios) {
-            for (size_t sz : hitRatioTableSizes()) {
-                lets.push_back(std::make_unique<LetHitMeter>(sz));
-                lits.push_back(std::make_unique<LitHitMeter>(sz));
-                out.push_back(lets.back().get());
-                out.push_back(lits.back().get());
-            }
+        for (size_t sz : hitRatioTableSizes()) {
+            lets.push_back(std::make_unique<LetHitMeter>(sz));
+            lits.push_back(std::make_unique<LitHitMeter>(sz));
+            out.push_back(lets.back().get());
+            out.push_back(lits.back().get());
         }
-        if (flags.ideal)
-            out.push_back(&ideal);
         return out;
     }
 };
@@ -170,31 +162,29 @@ struct Derived
 /**
  * The one derive step, shared by both sources: Table 1, the Figure-4
  * meters and the ideal ∞-TU TPC over the whole trace and its first
- * half, all by windowed replay of the recording (replayLoopEvents).
+ * half, all functions of the recording.
  */
 void
 deriveFromRecording(const LoopEventRecording &recording,
                     const CollectFlags &flags, WorkloadArtifacts *out)
 {
-    Derived d;
-    const std::vector<LoopListener *> listeners = d.listeners(flags);
-    if (listeners.empty())
-        return;
-    replayLoopEvents(recording, listeners);
     if (flags.loopStats)
-        out->loopStats = d.stats.report();
-    for (size_t i = 0; i < d.lets.size(); ++i) {
-        out->letResults.emplace_back(d.lets[i]->numEntries(),
-                                     d.lets[i]->result());
-        out->litResults.emplace_back(d.lits[i]->numEntries(),
-                                     d.lits[i]->result());
+        out->loopStats =
+            loopStatsFromRecording(recording, recording.totalInstrs);
+    if (flags.hitRatios) {
+        Meters m;
+        replayLoopEvents(recording, m.listeners());
+        for (size_t i = 0; i < m.lets.size(); ++i) {
+            out->letResults.emplace_back(m.lets[i]->numEntries(),
+                                         m.lets[i]->result());
+            out->litResults.emplace_back(m.lits[i]->numEntries(),
+                                         m.lits[i]->result());
+        }
     }
     if (flags.ideal) {
-        out->idealTpc = d.ideal.tpc();
-        IdealTpcComputer prefix;
-        replayLoopEvents(recording, {&prefix},
-                         idealPrefixWindow(recording.totalInstrs));
-        out->idealTpcPrefix = prefix.tpc();
+        const IdealTpcPair ideal = idealTpcPair(recording);
+        out->idealTpc = ideal.full;
+        out->idealTpcPrefix = ideal.prefix;
     }
 }
 
@@ -208,15 +198,16 @@ sameMeter(const HitRatioResult &a, const HitRatioResult &b)
  * --check-replay, shared by both sources. @p ctrace is the pass's
  * control trace (recorded in process, or the container's materialized
  * copy): a detector fed by it must re-record the pass's recording, and
- * predictor meters fed by it must end in the pass's table state. Every
- * derived artifact must equal a direct computation: Table 1, the meters
- * and the full ideal TPC equal the listeners in @p live that rode the
- * pass; the prefix equals one direct detection over its window.
+ * predictor meters fed by it must end in the pass's table state. The
+ * Figure-4 meters that rode the pass (@p live) must equal their replay,
+ * and the ideal prefix must equal one direct detection over its window.
+ * Table 1 and the full ideal TPC are functions of the recording, so the
+ * re-recording check covers them.
  */
 void
 checkDerived(const std::string &name, const RunOptions &opts,
              const CollectFlags &flags, const ControlTrace &ctrace,
-             const LoopEventRecording &recording, Derived &live,
+             const LoopEventRecording &recording, const Meters &live,
              const WorkloadArtifacts &out)
 {
     const char *what = name.c_str();
@@ -244,17 +235,6 @@ checkDerived(const std::string &name, const RunOptions &opts,
                   predictorName(a.config).c_str());
     }
 
-    const LoopStatsReport &a = live.stats.report();
-    const LoopStatsReport &b = out.loopStats;
-    if (a.totalInstrs != b.totalInstrs || a.staticLoops != b.staticLoops ||
-        a.totalExecs != b.totalExecs || a.totalIters != b.totalIters ||
-        a.singleIterExecs != b.singleIterExecs ||
-        a.itersPerExec != b.itersPerExec ||
-        a.instrsPerIter != b.instrsPerIter ||
-        a.avgNesting != b.avgNesting || a.maxNesting != b.maxNesting ||
-        a.overflowDrops != b.overflowDrops ||
-        a.loopCoverage != b.loopCoverage)
-        fatal("%s: Table-1 statistics replay mismatch", what);
     for (size_t i = 0; i < out.letResults.size(); ++i) {
         if (!sameMeter(live.lets[i]->result(), out.letResults[i].second) ||
             !sameMeter(live.lits[i]->result(), out.litResults[i].second))
@@ -263,25 +243,22 @@ checkDerived(const std::string &name, const RunOptions &opts,
     }
     if (!flags.ideal)
         return;
-    if (live.ideal.tpc() != out.idealTpc)
-        fatal("%s: ideal TPC replay mismatch: live %.17g vs replay %.17g",
-              what, live.ideal.tpc(), out.idealTpc);
 
     const uint64_t window = idealPrefixWindow(recording.totalInstrs);
     LoopDetector prefix_det({opts.clsEntries});
-    IdealTpcComputer direct, windowed;
     LoopEventRecorder direct_rec, windowed_rec;
-    prefix_det.addListener(&direct);
     prefix_det.addListener(&direct_rec);
     replayControlTrace(ctrace, prefix_det, window);
-    replayLoopEvents(recording, {&windowed, &windowed_rec}, window);
-    diff = compareRecordings(direct_rec.take(), windowed_rec.take());
-    if (!diff.empty() || direct.idealCycles() != windowed.idealCycles() ||
-        direct.tpc() != out.idealTpcPrefix)
+    replayLoopEvents(recording, {&windowed_rec}, window);
+    const LoopEventRecording direct = direct_rec.take();
+    diff = compareRecordings(direct, windowed_rec.take());
+    const double direct_tpc =
+        idealFromRecording(direct, direct.totalInstrs).tpc();
+    if (!diff.empty() || direct_tpc != out.idealTpcPrefix)
         fatal("%s: prefix replay diverges from direct detection over %llu "
               "instrs: %s (TPC %.17g vs %.17g)",
               what, static_cast<unsigned long long>(window), diff.c_str(),
-              direct.tpc(), out.idealTpcPrefix);
+              direct_tpc, out.idealTpcPrefix);
 }
 
 } // namespace
@@ -344,7 +321,7 @@ runWorkload(const std::string &name, const RunOptions &opts,
     const bool need_ctrace = flags.controlTrace || opts.checkReplay;
 
     LoopEventRecorder recorder;
-    Derived live; // --check-replay's listeners riding the pass
+    Meters live; // --check-replay's meters riding the pass
     DataSpecConfig dcfg;
     dcfg.recordPerIteration = flags.dataCorrectness;
     DataSpecProfiler profiler(dcfg);
@@ -355,12 +332,12 @@ runWorkload(const std::string &name, const RunOptions &opts,
     LoopDetector detector({opts.clsEntries});
     if (need_recording)
         detector.addListener(&recorder);
-    if (opts.checkReplay) {
-        for (LoopListener *l : live.listeners(flags))
+    if (opts.checkReplay && flags.hitRatios) {
+        for (LoopListener *l : live.listeners())
             detector.addListener(l);
     }
     if (flags.dataSpec)
-        detector.addListener(&profiler);
+        profiler.attach(detector);
     std::vector<TraceObserver *> observers = {&detector};
     if (!flags.predictors.empty())
         observers.push_back(&predictorMeter);

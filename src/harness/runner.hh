@@ -3,9 +3,9 @@
  * Shared experiment driver: builds a workload, executes the functional
  * simulator ONCE through the loop detector (or streams an exported trace
  * container in its place), recording the loop-event stream, and derives
- * every loop-event artifact from that recording by windowed replay —
- * Table 1, the LET/LIT table-size sweep of Figure 4, and the ideal TPC
- * of Figure 5 over the whole trace and over its first half. Every bench
+ * every loop-event artifact from that recording — Table 1, the LET/LIT
+ * table-size sweep of Figure 4, and the ideal TPC of Figure 5 over the
+ * whole trace and over its first half. Every bench
  * binary (one per paper table/figure) is a thin layer over this.
  */
 
@@ -42,9 +42,10 @@ struct RunOptions
     size_t clsEntries = 16;
     uint64_t maxInstrs = 0; //!< trace truncation (0 = run to Halt)
     bool csv = false;
-    /** Cross-check every artifact derived from the recording against a
-     *  direct computation (listeners riding the pass, a direct detection
-     *  over the Figure-5 prefix); fatal() on any mismatch. */
+    /** Cross-check the pass against its control trace (re-recording,
+     *  predictor meters), the Figure-4 meters against meters riding the
+     *  pass, and the Figure-5 prefix against a direct detection over
+     *  it; fatal() on any mismatch. */
     bool checkReplay = false;
     /** Thread-pool width for sweeps and parallel workload runs
      *  (0 = one per hardware thread, 1 = fully serial). Results are

@@ -34,13 +34,14 @@ LoopDetector::addListener(LoopListener *listener)
 {
     LOOPSPEC_ASSERT(listener != nullptr);
     listeners.push_back(listener);
-    if (listener->consumesInstrs()) {
-        const bool reads = listener->readsSpanRecords();
-        instrListeners.push_back({listener, reads});
-        spanRecordsNeeded |= reads;
-    }
     if (listener->wantsPrefetchHints())
         prefetchListeners.push_back(listener);
+}
+
+void
+LoopDetector::setInstrConsumer(InstrConsumer *instr_consumer)
+{
+    consumer = instr_consumer;
 }
 
 void
@@ -226,44 +227,24 @@ LoopDetector::dispatch(const DynInstr &d)
 void
 LoopDetector::onInstr(const DynInstr &d)
 {
-    // Listeners see the instruction before any events it triggers, so a
-    // closing branch is attributed to the iteration it terminates.
-    for (const InstrListener &l : instrListeners)
-        l.listener->onInstr(d);
+    // The consumer sees the instruction before any events it triggers,
+    // so a closing branch is attributed to the iteration it terminates.
+    if (consumer)
+        consumer->onInstr(d);
     dispatch(d);
-}
-
-void
-LoopDetector::flushSpan(const DynInstr *records, size_t count)
-{
-    if (!count)
-        return;
-    for (const InstrListener &l : instrListeners)
-        l.listener->onInstrSpan(l.readsRecords ? records : nullptr, count);
 }
 
 BatchNeed
 LoopDetector::batchNeed() const
 {
-    return spanRecordsNeeded ? BatchNeed::FullRecords
-                             : BatchNeed::HotPlanes;
+    return consumer ? BatchNeed::FullRecords : BatchNeed::HotPlanes;
 }
 
 void
 LoopDetector::onInstrBatchSoA(const SoaBatch &b)
 {
-    // Only a record-reading span listener needs the records; they are
-    // materialized once per batch and handed out as spans of the copy.
-    const DynInstr *records = nullptr;
-    if (spanRecordsNeeded) {
-        if (spanRecords.size() < b.count)
-            spanRecords.resize(b.count);
-        b.materializeAll(spanRecords.data());
-        records = spanRecords.data();
-    }
-
     // Only the control positions are ever touched: everything between
-    // them extends the current span.
+    // them extends the consumer's current span.
     size_t span_start = 0;
     for (size_t k = 0; k < b.numCtrl; ++k) {
         const size_t i = b.ctrl[k];
@@ -309,20 +290,20 @@ LoopDetector::onInstrBatchSoA(const SoaBatch &b)
             continue;
 
         // Warm the LET/LIT-style set lines keyed by the transfer's
-        // target: the span flush and CLS update below overlap the
-        // loads before any event handler probes the tables.
+        // target: the CLS update below overlaps the loads before any
+        // event handler probes the tables.
         for (auto *l : prefetchListeners)
             l->prefetchLoop(d.target);
 
-        // Listeners must see d before any event it triggers: flush the
-        // span up to and including d, then update the CLS.
-        flushSpan(records ? records + span_start : nullptr,
-                  i - span_start + 1);
+        // The consumer must see d before any event it triggers: hand
+        // over the span up to and including d, then update the CLS.
+        if (consumer)
+            consumer->onSpan(b, span_start, i - span_start + 1);
         dispatch(d);
         span_start = i + 1;
     }
-    flushSpan(records ? records + span_start : nullptr,
-              b.count - span_start);
+    if (consumer && span_start < b.count)
+        consumer->onSpan(b, span_start, b.count - span_start);
 }
 
 void

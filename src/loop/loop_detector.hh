@@ -26,6 +26,28 @@ struct DetectorConfig
 };
 
 /**
+ * The detector's one optional per-instruction consumer (the §4 data
+ * profiler). It sees every retired instruction before any loop event
+ * that instruction triggers, so a closing branch belongs to the
+ * iteration it terminates. Scalar feeding hands over records; the batch
+ * walk hands over plane spans that never straddle a loop event.
+ */
+class InstrConsumer
+{
+  public:
+    virtual ~InstrConsumer() = default;
+
+    /** One retired instruction (the scalar path). */
+    virtual void onInstr(const DynInstr &instr) = 0;
+
+    /** Records [@p begin, @p begin + @p count) of @p batch, whose cold
+     *  planes are present; any event triggered by the last one follows
+     *  the call. */
+    virtual void onSpan(const SoaBatch &batch, size_t begin,
+                        size_t count) = 0;
+};
+
+/**
  * Implements the full CLS update algorithm:
  *
  *  - a taken backward branch/jump to T not in the CLS pushes (T, PC);
@@ -44,7 +66,7 @@ struct DetectorConfig
  *  - at trace end, remaining entries are flushed with reason TraceEnd.
  *
  * The detector is a TraceObserver: attach it to a TraceEngine and attach
- * LoopListeners to it.
+ * LoopListeners (and at most one InstrConsumer) to it.
  */
 class LoopDetector : public TraceObserver
 {
@@ -54,19 +76,18 @@ class LoopDetector : public TraceObserver
     /** Attach a listener; not owned; order of attach = order of calls. */
     void addListener(LoopListener *listener);
 
-    // TraceObserver interface. The batch path forwards instructions to
-    // listeners as spans (LoopListener::onInstrSpan) that never straddle
-    // a loop event, so listeners observe the exact per-instruction order
-    // of the scalar path at a fraction of the virtual-dispatch cost.
+    /** Set the per-instruction consumer (not owned; null detaches). */
+    void setInstrConsumer(InstrConsumer *consumer);
+
+    // TraceObserver interface.
     void onInstr(const DynInstr &instr) override;
     /** The one batch walk: hops along the control index over the hot
      *  planes with the next control record (and the LET/LIT-style
-     *  listeners' table lines) prefetched. Span listeners that read
-     *  records get spans of a per-batch materialized copy; every other
-     *  span listener gets (nullptr, count). */
+     *  listeners' table lines) prefetched. The instruction consumer
+     *  gets the runs between CLS-changing transfers as plane spans. */
     void onInstrBatchSoA(const SoaBatch &batch) override;
-    /** HotPlanes unless a listener reads span records, so engines skip
-     *  the cold planes. */
+    /** HotPlanes unless an instruction consumer is set, so engines
+     *  skip the cold planes. */
     BatchNeed batchNeed() const override;
     void onTraceEnd(uint64_t total_instrs) override;
 
@@ -96,33 +117,16 @@ class LoopDetector : public TraceObserver
     void handleReturn(const DynInstr &d);
 
     /** CLS update for one instruction (shared by both observer paths);
-     *  the caller has already forwarded @p d to the listeners. */
+     *  the caller has already forwarded @p d to the consumer. */
     void dispatch(const DynInstr &d);
-
-    /** Forward the finished span of @p count instructions to every
-     *  span listener; @p records (null when no listener reads records)
-     *  holds the span's materialized records. */
-    void flushSpan(const DynInstr *records, size_t count);
 
     CurrentLoopStack stack;
     DetectorConfig cfg;
     std::vector<LoopListener *> listeners;
-    /** A listener with consumesInstrs(): the only ones that receive
-     *  onInstr/onInstrSpan. */
-    struct InstrListener
-    {
-        LoopListener *listener;
-        bool readsRecords; //!< readsSpanRecords(), cached
-    };
-    std::vector<InstrListener> instrListeners;
+    InstrConsumer *consumer = nullptr;
     /** Subset of listeners with wantsPrefetchHints(): warmed right
      *  before a CLS-changing transfer dispatches. */
     std::vector<LoopListener *> prefetchListeners;
-    /** True when some instruction listener dereferences span records —
-     *  batches then arrive with cold planes and are materialized into
-     *  spanRecords. */
-    bool spanRecordsNeeded = false;
-    std::vector<DynInstr> spanRecords;
     uint64_t nextExecId = 1;
     bool flushed = false;
 };

@@ -2,15 +2,13 @@
  * @file
  * Loop event vocabulary emitted by the LoopDetector (paper §2.1: loop
  * executions and loop iterations) and the listener interface consumers
- * implement (statistics, LET/LIT models, speculation, data profiling).
+ * implement (LET/LIT models, recording, speculation, data profiling).
  */
 
 #ifndef LOOPSPEC_LOOP_LOOP_EVENT_HH
 #define LOOPSPEC_LOOP_LOOP_EVENT_HH
 
 #include <cstdint>
-
-#include "tracegen/dyn_instr.hh"
 
 namespace loopspec
 {
@@ -84,42 +82,17 @@ struct SingleIterExecEvent
 };
 
 /**
- * Consumer interface for the detector's event stream. onInstr is called
- * for every retired instruction *before* any loop events that instruction
- * triggers, so instruction counts attribute closing branches to the
- * iteration they terminate.
- *
- * When the detector itself is fed in batches it forwards instructions as
- * *spans* (onInstrSpan): maximal runs guaranteed not to straddle a loop
- * event, flushed immediately before the event that ends them. The default
- * span implementation forwards to onInstr, preserving the per-instruction
- * contract; listeners whose per-instruction work is an aggregate (e.g.
- * counters) override it to pay one virtual call per span.
+ * Consumer interface for the detector's event stream. Listeners see loop
+ * events only; every event carries its retire position, which is all
+ * the instruction accounting Table 1 and Figure 5 need (they are
+ * functions of the recording: loopStatsFromRecording,
+ * idealFromRecording). The one per-instruction consumer, the §4 data
+ * profiler, attaches to the detector separately (InstrConsumer).
  */
 class LoopListener
 {
   public:
     virtual ~LoopListener() = default;
-
-    /**
-     * Does this listener consume per-instruction data? Event-only
-     * listeners (the LET/LIT meters, the event recorder) return false
-     * and are skipped by the detector's instruction forwarding on both
-     * paths — a listener that returns false must not override onInstr or
-     * onInstrSpan, as neither will be delivered.
-     */
-    virtual bool consumesInstrs() const { return true; }
-
-    /**
-     * Does onInstrSpan dereference the span records, or only use the
-     * count? Aggregate listeners (the Table-1/Fig-4 statistics, the
-     * ideal-TPC model) override this to false; the detector's SoA hot
-     * path then forwards spans as (nullptr, count) without ever
-     * materialising DynInstr records — the count and the event stream
-     * carry everything such listeners observe. A listener returning
-     * false must override onInstrSpan and must not touch @p instrs.
-     */
-    virtual bool readsSpanRecords() const { return true; }
 
     /** Listeners with loop-keyed state (the LET/LIT table models)
      *  return true to receive prefetchLoop() hints from batch-driven
@@ -130,21 +103,11 @@ class LoopListener
     /**
      * Hint, never semantics: a control transfer targeting @p loop is
      * about to dispatch, so any set lines keyed by it are worth
-     * warming now — the producer still has span/CLS work to overlap
-     * with the loads. Must have no observable effect.
+     * warming now — the producer still has CLS work to overlap with
+     * the loads. Must have no observable effect.
      */
     virtual void prefetchLoop(uint32_t loop) { (void)loop; }
 
-    virtual void onInstr(const DynInstr &instr) { (void)instr; }
-
-    /** A run of consecutive instructions with no loop event between
-     *  them; any event triggered by the last one follows the call. */
-    virtual void
-    onInstrSpan(const DynInstr *instrs, size_t count)
-    {
-        for (size_t i = 0; i < count; ++i)
-            onInstr(instrs[i]);
-    }
     virtual void onExecStart(const ExecStartEvent &ev) { (void)ev; }
     virtual void onIterStart(const IterEvent &ev) { (void)ev; }
     virtual void onIterEnd(const IterEvent &ev) { (void)ev; }
@@ -154,6 +117,22 @@ class LoopListener
         (void)ev;
     }
     virtual void onTraceDone(uint64_t total_instrs) { (void)total_instrs; }
+};
+
+/**
+ * A loop-event model that also counts retired instructions (the
+ * Table-1 statistics, Figure 5's ideal machine). No detector delivers
+ * instructions to it: replayCounted() credits them from the recorded
+ * event positions, and the per-instruction reference in src/synth
+ * credits one per retired instruction. Either way the instructions up
+ * to and including an event's trigger are credited before the event,
+ * so a closing branch counts in the iteration it terminates.
+ */
+class InstrCountingListener : public LoopListener
+{
+  public:
+    /** @p count more instructions retired under the current frames. */
+    virtual void countInstrs(uint64_t count) = 0;
 };
 
 } // namespace loopspec

@@ -2,28 +2,15 @@
 
 #include <algorithm>
 
+#include "speculation/event_record.hh"
 #include "util/logging.hh"
 
 namespace loopspec
 {
 
 void
-LoopStats::onInstr(const DynInstr &instr)
+LoopStatsModel::countInstrs(uint64_t count)
 {
-    (void)instr;
-    ++totalInstrs;
-    if (!frames.empty()) {
-        ++frames.back().instrs;
-        ++coveredInstrs;
-    }
-}
-
-void
-LoopStats::onInstrSpan(const DynInstr *instrs, size_t count)
-{
-    // No loop event falls inside a span, so the frame stack is constant
-    // across it and the per-instruction counts collapse to sums.
-    (void)instrs;
     totalInstrs += count;
     if (!frames.empty()) {
         frames.back().instrs += count;
@@ -32,7 +19,7 @@ LoopStats::onInstrSpan(const DynInstr *instrs, size_t count)
 }
 
 void
-LoopStats::onExecStart(const ExecStartEvent &ev)
+LoopStatsModel::onExecStart(const ExecStartEvent &ev)
 {
     loopIds.insert(ev.loop);
     frames.push_back({ev.execId, 0});
@@ -42,15 +29,7 @@ LoopStats::onExecStart(const ExecStartEvent &ev)
 }
 
 void
-LoopStats::onIterStart(const IterEvent &ev)
-{
-    (void)ev;
-    // Iterations are counted at execution end via iterCount; nothing to
-    // do per start, but the hook stays for symmetry with other listeners.
-}
-
-void
-LoopStats::onExecEnd(const ExecEndEvent &ev)
+LoopStatsModel::onExecEnd(const ExecEndEvent &ev)
 {
     // Find the frame (normally the top; middle for overlapped-loop exits
     // and the bottom for overflow drops).
@@ -86,7 +65,7 @@ LoopStats::onExecEnd(const ExecEndEvent &ev)
 }
 
 void
-LoopStats::onSingleIterExec(const SingleIterExecEvent &ev)
+LoopStatsModel::onSingleIterExec(const SingleIterExecEvent &ev)
 {
     loopIds.insert(ev.loop);
     ++totalExecs;
@@ -98,11 +77,11 @@ LoopStats::onSingleIterExec(const SingleIterExecEvent &ev)
 }
 
 void
-LoopStats::onTraceDone(uint64_t total_instrs)
+LoopStatsModel::onTraceDone(uint64_t total_instrs)
 {
     LOOPSPEC_ASSERT(!done, "onTraceDone twice");
     LOOPSPEC_ASSERT(frames.empty(),
-                    "LoopStats frames must drain before onTraceDone");
+                    "LoopStatsModel frames must drain before onTraceDone");
     done = true;
 
     result.totalInstrs = total_instrs;
@@ -126,6 +105,14 @@ LoopStats::onTraceDone(uint64_t total_instrs)
         totalInstrs ? static_cast<double>(coveredInstrs) /
                           static_cast<double>(totalInstrs)
                     : 0.0;
+}
+
+LoopStatsReport
+loopStatsFromRecording(const LoopEventRecording &recording, uint64_t window)
+{
+    LoopStatsModel stats;
+    replayCounted(recording, stats, window);
+    return stats.report();
 }
 
 } // namespace loopspec

@@ -16,7 +16,7 @@
 namespace loopspec
 {
 
-/** Aggregated results of a LoopStats pass (one program). */
+/** Table 1 of one program (loopStatsFromRecording). */
 struct LoopStatsReport
 {
     uint64_t totalInstrs = 0;
@@ -35,7 +35,10 @@ struct LoopStatsReport
 };
 
 /**
- * LoopListener computing the Table-1 statistics.
+ * Table-1 frame logic over the detector's event stream, with the
+ * instruction counts supplied through countInstrs() (see
+ * InstrCountingListener); loopStatsFromRecording is its production
+ * driver.
  *
  * Instruction attribution: each retired instruction increments the
  * innermost live frame; when an execution ends, its span (own + children)
@@ -48,17 +51,11 @@ struct LoopStatsReport
  * Single-iteration executions have unknowable spans and are excluded
  * from instrsPerIter (but counted in executions/iterations).
  */
-class LoopStats : public LoopListener
+class LoopStatsModel : public InstrCountingListener
 {
   public:
-    LoopStats() = default;
-
-    void onInstr(const DynInstr &instr) override;
-    void onInstrSpan(const DynInstr *instrs, size_t count) override;
-    /** Spans only accrue counts; the records are never dereferenced. */
-    bool readsSpanRecords() const override { return false; }
+    void countInstrs(uint64_t count) override;
     void onExecStart(const ExecStartEvent &ev) override;
-    void onIterStart(const IterEvent &ev) override;
     void onExecEnd(const ExecEndEvent &ev) override;
     void onSingleIterExec(const SingleIterExecEvent &ev) override;
     void onTraceDone(uint64_t total_instrs) override;
@@ -91,6 +88,17 @@ class LoopStats : public LoopListener
     LoopStatsReport result;
     bool done = false;
 };
+
+struct LoopEventRecording; // see speculation/event_record.hh
+
+/**
+ * Table 1 over the first @p window instructions of @p recording's trace
+ * (clamped to its length): the statistics a detector run over those
+ * instructions yields, with every instruction up to an event's position
+ * credited before the event (replayCounted).
+ */
+LoopStatsReport loopStatsFromRecording(const LoopEventRecording &recording,
+                                       uint64_t window);
 
 } // namespace loopspec
 

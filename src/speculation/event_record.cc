@@ -282,24 +282,6 @@ replayLoopEvents(const LoopEventRecording &recording,
 {
     const uint64_t end = std::min(window, recording.totalInstrs);
 
-    // Counting listeners get instruction p credited before the events
-    // at p, as the detector forwards it before dispatching it.
-    std::vector<LoopListener *> counters;
-    for (auto *l : listeners) {
-        LOOPSPEC_ASSERT(!l->consumesInstrs() || !l->readsSpanRecords(),
-                        "replay has no instruction records to deliver");
-        if (l->consumesInstrs())
-            counters.push_back(l);
-    }
-    uint64_t credited = 0;
-    const auto credit = [&](uint64_t upto) {
-        if (upto <= credited)
-            return;
-        for (auto *l : counters)
-            l->onInstrSpan(nullptr, upto - credited);
-        credited = upto;
-    };
-
     // The CLS as the events leave it, as (ExecStart, current iteration)
     // pairs; slot i holds the execution at depth i + 1.
     std::vector<std::pair<LoopEventRec, uint32_t>> open;
@@ -310,7 +292,6 @@ replayLoopEvents(const LoopEventRecording &recording,
     for (const LoopEventRec &e : recording.loopEvents) {
         if (e.pos >= end)
             break; // positions never decrease
-        credit(e.pos + 1);
         uint32_t branch_addr = 0;
         uint64_t parent_exec_id = 0;
         if (e.kind == LoopEventKind::ExecStart) {
@@ -333,7 +314,6 @@ replayLoopEvents(const LoopEventRecording &recording,
         }
         dispatchLoopEvent(e, branch_addr, parent_exec_id, listeners);
     }
-    credit(end);
 
     // The detector's trace-end flush at the window, innermost first.
     for (size_t i = open.size(); i-- > 0;) {
@@ -348,6 +328,99 @@ replayLoopEvents(const LoopEventRecording &recording,
     }
     for (auto *l : listeners)
         l->onTraceDone(end);
+}
+
+namespace
+{
+
+/**
+ * Puts a counting model on a windowed replay: before each event at
+ * position p the model is credited every instruction up to
+ * min(p + 1, window) — the instruction triggering the event included,
+ * as a detector retires it before dispatching it — and before
+ * onTraceDone the rest up to the window. The close-out events sit at
+ * the window itself, so they credit nothing beyond it.
+ */
+class PositionCredit : public LoopListener
+{
+  public:
+    PositionCredit(InstrCountingListener &counting_model, uint64_t end)
+        : model(counting_model), window(end)
+    {
+    }
+
+    void
+    onExecStart(const ExecStartEvent &ev) override
+    {
+        creditThrough(ev.pos);
+        model.onExecStart(ev);
+    }
+
+    void
+    onIterStart(const IterEvent &ev) override
+    {
+        creditThrough(ev.pos);
+        model.onIterStart(ev);
+    }
+
+    void
+    onIterEnd(const IterEvent &ev) override
+    {
+        creditThrough(ev.pos);
+        model.onIterEnd(ev);
+    }
+
+    void
+    onExecEnd(const ExecEndEvent &ev) override
+    {
+        creditThrough(ev.pos);
+        model.onExecEnd(ev);
+    }
+
+    void
+    onSingleIterExec(const SingleIterExecEvent &ev) override
+    {
+        creditThrough(ev.pos);
+        model.onSingleIterExec(ev);
+    }
+
+    void
+    onTraceDone(uint64_t total_instrs) override
+    {
+        creditUpTo(total_instrs);
+        model.onTraceDone(total_instrs);
+    }
+
+  private:
+    void
+    creditThrough(uint64_t pos)
+    {
+        creditUpTo(std::min(pos + 1, window));
+    }
+
+    void
+    creditUpTo(uint64_t upto)
+    {
+        if (upto <= credited)
+            return;
+        model.countInstrs(upto - credited);
+        credited = upto;
+    }
+
+    InstrCountingListener &model;
+    const uint64_t window;
+    uint64_t credited = 0;
+};
+
+} // namespace
+
+void
+replayCounted(const LoopEventRecording &recording,
+              InstrCountingListener &model, uint64_t window)
+{
+    const uint64_t end = std::min(window, recording.totalInstrs);
+    PositionCredit credit(model, end);
+    replayLoopEvents(recording, {&credit}, end);
 }
 
 namespace

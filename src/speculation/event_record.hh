@@ -182,17 +182,23 @@ constexpr uint64_t kWholeRecording = UINT64_MAX;
  * a TraceEnd close-out of the loops still open there; the recorded
  * close-out (at position totalInstrs) is dropped and rebuilt at the
  * window, innermost loop first.
- *
- * Listeners that consume instructions receive synthesized
- * (nullptr, count) spans between events, so the counting listeners
- * (Table-1 statistics, the ideal-TPC model) derive bit-identical
- * results; a listener that reads span records cannot be replayed and
- * is rejected. Event-only listeners (the LET/LIT meters, the recorder)
- * see the callbacks of a live pass.
+ * Listeners see the callbacks of a live pass.
  */
 void replayLoopEvents(const LoopEventRecording &recording,
                       const std::vector<LoopListener *> &listeners,
                       uint64_t window = kWholeRecording);
+
+/**
+ * replayLoopEvents into a counting model (Table-1 statistics, the
+ * ideal machine), with the instruction counts derived from the event
+ * positions: before each event at position p the model is credited the
+ * instructions up to min(p + 1, W), and before onTraceDone(W) the rest
+ * up to W, where W is @p window clamped to the recording's length. The
+ * rebuilt TraceEnd close-out sits at W, which is why the count needs W
+ * and a live listener cannot derive it from positions alone.
+ */
+void replayCounted(const LoopEventRecording &recording,
+                   InstrCountingListener &model, uint64_t window);
 
 /**
  * Deliver one recorded event to @p listeners — the dispatch step of
@@ -241,8 +247,6 @@ void mergeDataCorrectness(LoopEventRecording &recording,
 class LoopEventRecorder : public LoopListener
 {
   public:
-    /** Event-driven only: instruction data carries no information. */
-    bool consumesInstrs() const override { return false; }
     void onExecStart(const ExecStartEvent &ev) override;
     void onIterStart(const IterEvent &ev) override;
     void onIterEnd(const IterEvent &ev) override;

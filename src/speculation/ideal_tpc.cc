@@ -8,21 +8,8 @@ namespace loopspec
 {
 
 void
-IdealTpcComputer::onInstr(const DynInstr &instr)
+IdealTpcModel::countInstrs(uint64_t count)
 {
-    (void)instr;
-    ++instrs;
-    if (frames.empty())
-        ++rootCost;
-    else
-        ++frames.back().curCost;
-}
-
-void
-IdealTpcComputer::onInstrSpan(const DynInstr *instrs_p, size_t count)
-{
-    // Spans never straddle loop events: the frame stack is constant.
-    (void)instrs_p;
     instrs += count;
     if (frames.empty())
         rootCost += count;
@@ -31,13 +18,13 @@ IdealTpcComputer::onInstrSpan(const DynInstr *instrs_p, size_t count)
 }
 
 void
-IdealTpcComputer::onExecStart(const ExecStartEvent &ev)
+IdealTpcModel::onExecStart(const ExecStartEvent &ev)
 {
     frames.push_back({ev.execId, 0, 0});
 }
 
 void
-IdealTpcComputer::onIterEnd(const IterEvent &ev)
+IdealTpcModel::onIterEnd(const IterEvent &ev)
 {
     // Pops arrive innermost-first, so by the time a loop's IterEnd fires
     // it is the top frame (middle removals only happen for ExecEnd).
@@ -50,7 +37,7 @@ IdealTpcComputer::onIterEnd(const IterEvent &ev)
 }
 
 void
-IdealTpcComputer::onExecEnd(const ExecEndEvent &ev)
+IdealTpcModel::onExecEnd(const ExecEndEvent &ev)
 {
     size_t idx = frames.size();
     for (size_t i = frames.size(); i-- > 0;) {
@@ -75,7 +62,7 @@ IdealTpcComputer::onExecEnd(const ExecEndEvent &ev)
 }
 
 void
-IdealTpcComputer::onTraceDone(uint64_t total_instrs)
+IdealTpcModel::onTraceDone(uint64_t total_instrs)
 {
     (void)total_instrs;
     LOOPSPEC_ASSERT(frames.empty(),
@@ -83,30 +70,79 @@ IdealTpcComputer::onTraceDone(uint64_t total_instrs)
     done = true;
 }
 
+IdealResult
+IdealTpcModel::result() const
+{
+    LOOPSPEC_ASSERT(done, "ideal result before trace end");
+    return {instrs, rootCost};
+}
+
+IdealResult
+idealFromRecording(const LoopEventRecording &recording, uint64_t window)
+{
+    IdealTpcModel model;
+    replayCounted(recording, model, window);
+    return model.result();
+}
+
+void
+IdealTpcComputer::onExecStart(const ExecStartEvent &ev)
+{
+    recorder.onExecStart(ev);
+}
+
+void
+IdealTpcComputer::onIterStart(const IterEvent &ev)
+{
+    recorder.onIterStart(ev);
+}
+
+void
+IdealTpcComputer::onIterEnd(const IterEvent &ev)
+{
+    recorder.onIterEnd(ev);
+}
+
+void
+IdealTpcComputer::onExecEnd(const ExecEndEvent &ev)
+{
+    recorder.onExecEnd(ev);
+}
+
+void
+IdealTpcComputer::onSingleIterExec(const SingleIterExecEvent &ev)
+{
+    recorder.onSingleIterExec(ev);
+}
+
+void
+IdealTpcComputer::onTraceDone(uint64_t total_instrs)
+{
+    recorder.onTraceDone(total_instrs);
+    ideal = idealFromRecording(recorder.take(), total_instrs);
+    done = true;
+}
+
 uint64_t
 IdealTpcComputer::idealCycles() const
 {
     LOOPSPEC_ASSERT(done, "idealCycles() before trace end");
-    return rootCost;
+    return ideal.cycles;
 }
 
 double
 IdealTpcComputer::tpc() const
 {
-    uint64_t cycles = idealCycles();
-    return cycles ? static_cast<double>(instrs) /
-                        static_cast<double>(cycles)
-                  : 0.0;
+    LOOPSPEC_ASSERT(done, "tpc() before trace end");
+    return ideal.tpc();
 }
 
 IdealTpcPair
 idealTpcPair(const LoopEventRecording &recording)
 {
-    IdealTpcComputer full, prefix;
-    replayLoopEvents(recording, {&full});
-    replayLoopEvents(recording, {&prefix},
-                     idealPrefixWindow(recording.totalInstrs));
-    return {full.tpc(), prefix.tpc()};
+    const uint64_t total = recording.totalInstrs;
+    return {idealFromRecording(recording, total).tpc(),
+            idealFromRecording(recording, idealPrefixWindow(total)).tpc()};
 }
 
 } // namespace loopspec

@@ -25,34 +25,43 @@
 namespace loopspec
 {
 
+/** Figure 5's ideal machine over one window of a trace. */
+struct IdealResult
+{
+    uint64_t instrs = 0; //!< instructions in the window
+    uint64_t cycles = 0; //!< ideal-machine cycles
+
+    /** TPC on the infinite-TU machine (0 for an empty window). */
+    double
+    tpc() const
+    {
+        return cycles ? static_cast<double>(instrs) /
+                            static_cast<double>(cycles)
+                      : 0.0;
+    }
+};
+
 /**
- * Streaming computation of the ideal duration over the detector's event
- * stream: a frame per live execution accumulates the current iteration's
- * cost; IterEnd folds it into the per-execution max; ExecEnd collapses
- * the execution into its parent's current iteration as the max iteration
- * cost (iteration 1's cost accrued to the parent inline, which is exactly
- * the serialisation the detection delay imposes).
+ * The ideal duration's frame logic over the detector's event stream,
+ * with the instruction counts supplied through countInstrs() (see
+ * InstrCountingListener): a frame per live execution accumulates the
+ * current iteration's cost; IterEnd folds it into the per-execution
+ * max; ExecEnd collapses the execution into its parent's current
+ * iteration as the max iteration cost (iteration 1's cost accrued to
+ * the parent inline, which is exactly the serialisation the detection
+ * delay imposes). idealFromRecording is its production driver.
  */
-class IdealTpcComputer : public LoopListener
+class IdealTpcModel : public InstrCountingListener
 {
   public:
-    void onInstr(const DynInstr &instr) override;
-    void onInstrSpan(const DynInstr *instrs, size_t count) override;
-    /** Spans only accrue counts; the records are never dereferenced. */
-    bool readsSpanRecords() const override { return false; }
+    void countInstrs(uint64_t count) override;
     void onExecStart(const ExecStartEvent &ev) override;
     void onIterEnd(const IterEvent &ev) override;
     void onExecEnd(const ExecEndEvent &ev) override;
     void onTraceDone(uint64_t total_instrs) override;
 
-    /** Ideal-machine cycle count; valid after onTraceDone. */
-    uint64_t idealCycles() const;
-
-    /** Instructions observed. */
-    uint64_t totalInstrs() const { return instrs; }
-
-    /** TPC on the infinite-TU machine. */
-    double tpc() const;
+    /** Instructions and ideal cycles; valid after onTraceDone. */
+    IdealResult result() const;
 
   private:
     struct Frame
@@ -65,6 +74,46 @@ class IdealTpcComputer : public LoopListener
     std::vector<Frame> frames;
     uint64_t rootCost = 0;
     uint64_t instrs = 0;
+    bool done = false;
+};
+
+/**
+ * Figure 5's ideal machine over the first @p window instructions of
+ * @p recording's trace (clamped to its length): equal to running the
+ * detector over those instructions, with every instruction up to an
+ * event's position credited before the event (replayCounted).
+ */
+IdealResult idealFromRecording(const LoopEventRecording &recording,
+                               uint64_t window);
+
+/**
+ * The ideal machine as a detector listener, for callers that attach it
+ * to a live detector. It records the events it sees and, at
+ * onTraceDone, evaluates idealFromRecording over the whole pass — one
+ * ideal algorithm whichever way the events arrive.
+ */
+class IdealTpcComputer : public LoopListener
+{
+  public:
+    void onExecStart(const ExecStartEvent &ev) override;
+    void onIterStart(const IterEvent &ev) override;
+    void onIterEnd(const IterEvent &ev) override;
+    void onExecEnd(const ExecEndEvent &ev) override;
+    void onSingleIterExec(const SingleIterExecEvent &ev) override;
+    void onTraceDone(uint64_t total_instrs) override;
+
+    /** Ideal-machine cycle count; valid after onTraceDone. */
+    uint64_t idealCycles() const;
+
+    /** Instructions observed; valid after onTraceDone. */
+    uint64_t totalInstrs() const { return ideal.instrs; }
+
+    /** TPC on the infinite-TU machine; valid after onTraceDone. */
+    double tpc() const;
+
+  private:
+    LoopEventRecorder recorder;
+    IdealResult ideal;
     bool done = false;
 };
 
@@ -85,8 +134,7 @@ struct IdealTpcPair
     double prefix = 0.0; //!< first idealPrefixWindow() instructions
 };
 
-/** Both Figure-5 values by windowed replay of @p recording — equal to
- *  running the detector over each window (replayLoopEvents). */
+/** Both Figure-5 values of @p recording (idealFromRecording). */
 IdealTpcPair idealTpcPair(const LoopEventRecording &recording);
 
 } // namespace loopspec

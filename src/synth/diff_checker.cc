@@ -18,6 +18,7 @@
 #include "predict/predictor_meter.hh"
 #include "speculation/event_record.hh"
 #include "speculation/ideal_tpc.hh"
+#include "synth/count_reference.hh"
 #include "tables/hit_ratio.hh"
 #include "trace_io/crc32.hh"
 #include "trace_io/replay_source.hh"
@@ -128,15 +129,22 @@ class StreamCollector : public TraceObserver
     }
 };
 
-/** Record-reading span listener: collects every instruction the
- *  detector forwards, so record spans can be checked against the
+/** Fake instruction consumer: materializes every plane span the
+ *  detector hands over, so the spans can be checked against the
  *  reference stream. */
-class SpanRecordCollector : public LoopListener
+class SpanCollector : public InstrConsumer
 {
   public:
     std::vector<DynInstr> all;
 
     void onInstr(const DynInstr &d) override { all.push_back(d); }
+
+    void
+    onSpan(const SoaBatch &b, size_t begin, size_t count) override
+    {
+        for (size_t i = begin; i < begin + count; ++i)
+            all.push_back(b.materialize(i));
+    }
 };
 
 /**
@@ -252,7 +260,7 @@ compareStats(const char *what, const LoopStatsReport &a,
 {
 #define LOOPSPEC_DIFF_STAT(f)                                             \
     if (!(a.f == b.f))                                                    \
-        return strprintf("%s: LoopStats field '%s' differs", what, #f)
+        return strprintf("%s: Table-1 field '%s' differs", what, #f)
     LOOPSPEC_DIFF_STAT(totalInstrs);
     LOOPSPEC_DIFF_STAT(staticLoops);
     LOOPSPEC_DIFF_STAT(totalExecs);
@@ -903,10 +911,12 @@ checkPredictorState(const std::vector<std::string> &specs,
 
 /**
  * Windowed-replay oracle: for each window W, replayLoopEvents over the
- * first W instructions of @p recording must match a scalar-fed detector
- * run over stream[0, W) — re-recording, LoopStatsReport and ideal
- * cycles. An off-by-one in the rebuilt close-out (its order, depth or
- * position, or the last instruction credit) shows up here.
+ * first W instructions of @p recording must re-record what a scalar-fed
+ * detector records over stream[0, W), and loopStatsFromRecording and
+ * idealFromRecording at W must equal the per-instruction
+ * CountingReference over the same instructions. An off-by-one in the
+ * rebuilt close-out (its order, depth or position) or in the position
+ * credit shows up here.
  */
 std::string
 checkWindowedReplay(const LoopEventRecording &recording,
@@ -919,22 +929,14 @@ checkWindowedReplay(const LoopEventRecording &recording,
     for (uint64_t window : {total, total / 2, 1 + rng.below(total)}) {
         if (window == 0)
             continue;
-        LoopStats direct_stats;
-        IdealTpcComputer direct_ideal;
+        CountingReference direct(cls);
         LoopEventRecorder direct_rec;
-        {
-            LoopDetector det({cls});
-            det.addListener(&direct_stats);
-            det.addListener(&direct_ideal);
-            det.addListener(&direct_rec);
-            for (uint64_t i = 0; i < window; ++i)
-                det.onInstr(stream[i]);
-            det.onTraceEnd(window);
-        }
-        LoopStats stats;
-        IdealTpcComputer ideal;
+        direct.addListener(&direct_rec);
+        for (uint64_t i = 0; i < window; ++i)
+            direct.onInstr(stream[i]);
+        direct.onTraceEnd(window);
         LoopEventRecorder rec;
-        replayLoopEvents(recording, {&stats, &ideal, &rec}, window);
+        replayLoopEvents(recording, {&rec}, window);
 
         const std::string what =
             strprintf("windowed-replay W=%llu",
@@ -942,12 +944,13 @@ checkWindowedReplay(const LoopEventRecording &recording,
         std::string err = compareRecordings(direct_rec.take(), rec.take());
         if (!err.empty())
             return what + ": " + err;
-        err = compareStats(what.c_str(), direct_stats.report(),
-                           stats.report());
+        err = compareStats(what.c_str(), direct.loopStats(),
+                           loopStatsFromRecording(recording, window));
         if (!err.empty())
             return err;
-        if (direct_ideal.idealCycles() != ideal.idealCycles() ||
-            direct_ideal.totalInstrs() != ideal.totalInstrs())
+        const IdealResult ideal = idealFromRecording(recording, window);
+        if (direct.ideal().cycles != ideal.cycles ||
+            direct.ideal().instrs != ideal.instrs)
             return what + ": ideal cycles or instruction count differ";
     }
     return {};
@@ -1077,13 +1080,11 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
 
         // (A) Reference: scalar-fed detector.
         EventLog log_a;
-        LoopStats stats_a;
         MeterBank meters_a(cfg.meterSizes);
         LoopEventRecorder recorder_a;
         {
             LoopDetector det({cls});
             det.addListener(&log_a);
-            det.addListener(&stats_a);
             meters_a.attach(det);
             det.addListener(&recorder_a);
             for (const auto &d : scalar.all)
@@ -1094,22 +1095,17 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
 
         // (B) Engine-batched: a real run() with the detector attached.
         EventLog log_b;
-        LoopStats stats_b;
         LoopEventRecorder recorder_b;
         {
             TraceEngine engine(prog, ecfg);
             LoopDetector det({cls});
             det.addListener(&log_b);
-            det.addListener(&stats_b);
             det.addListener(&recorder_b);
             engine.addObserver(&det);
             engine.run();
         }
         std::string err =
             compareLogs((tag + " engine-batched").c_str(), log_a, log_b);
-        if (err.empty())
-            err = compareStats((tag + " engine-batched").c_str(),
-                               stats_a.report(), stats_b.report());
         if (!err.empty())
             return DiffResult::fail(err);
 
@@ -1129,19 +1125,19 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
         if (!err.empty())
             return DiffResult::fail(err);
 
-        // (B2) Odd-sized engine batches (777) with a record-reading
-        // span listener: the detector materializes each batch and
-        // hands out record spans, which must carry the reference
-        // stream exactly while the events stay those of (A).
+        // (B2) Odd-sized engine batches (777) with an instruction
+        // consumer: the detector hands out plane spans, whose records
+        // must carry the reference stream exactly while the events stay
+        // those of (A).
         EventLog log_b2;
-        SpanRecordCollector spans_b2;
+        SpanCollector spans_b2;
         {
             EngineConfig ocfg = ecfg;
             ocfg.batchInstrs = 777;
             TraceEngine engine(prog, ocfg);
             LoopDetector det({cls});
             det.addListener(&log_b2);
-            det.addListener(&spans_b2);
+            det.setInstrConsumer(&spans_b2);
             engine.addObserver(&det);
             engine.run();
         }
@@ -1162,19 +1158,14 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
         size_t replay_cls =
             cfg.injectClsOffByOne && cls > 1 ? cls - 1 : cls;
         EventLog log_c;
-        LoopStats stats_c;
         LoopEventRecorder recorder_c;
         {
             LoopDetector det({replay_cls});
             det.addListener(&log_c);
-            det.addListener(&stats_c);
             det.addListener(&recorder_c);
             replayControlTrace(ctrace, det);
         }
         err = compareLogs((tag + " ctrace-replay").c_str(), log_a, log_c);
-        if (err.empty())
-            err = compareStats((tag + " ctrace-replay").c_str(),
-                               stats_a.report(), stats_c.report());
         if (!err.empty())
             return DiffResult::fail(err);
 
@@ -1220,10 +1211,11 @@ diffProgram(const Program &prog, const DiffConfig &cfg)
             return DiffResult::fail(tag + ": " + err);
 
         // (D1) Windowed replay: replaying the recording over its first
-        // W instructions must equal detection over those instructions —
-        // the re-recording, Table-1 statistics and ideal cycles alike —
-        // at the whole trace, its half (Figure 5's prefix) and a window
-        // seeded by the program's length.
+        // W instructions must re-record detection over those
+        // instructions, and the recording's Table-1 statistics and ideal
+        // cycles at W must equal the per-instruction reference — at the
+        // whole trace, its half (Figure 5's prefix) and a window seeded
+        // by the program's length.
         err = checkWindowedReplay(recording, scalar.all, cls);
         if (!err.empty())
             return DiffResult::fail(tag + " " + err);

@@ -14,16 +14,17 @@
  *    at the default batch size and at an odd one (777);
  *  - the LoopDetector must emit the identical event sequence whether fed
  *    per-instruction, by engine runs at the default and odd batch sizes
- *    (the hot-plane walk, and record spans handed to a record-reading
- *    listener, which must carry the reference stream), by control-trace
+ *    (the hot-plane walk, and plane spans handed to an instruction
+ *    consumer, which must carry the reference stream), by control-trace
  *    replay, or by chunk-interleaved replay sources
  *    (trace_io/replay_source.hh);
  *  - replaying a LoopEventRecording must reproduce the events, the
  *    Fig-4 meter artifacts, and a re-recorded recording exactly;
  *  - replaying it over its first W instructions (windowed replay, at W =
- *    N, N/2 and a seeded W) must equal detection over those W
- *    instructions: re-recording, Table-1 statistics and ideal cycles;
- *  - Table-1 statistics must agree across every path;
+ *    N, N/2 and a seeded W) must re-record detection over those W
+ *    instructions, and the Table-1 statistics and ideal cycles computed
+ *    from the recording at W must equal the per-instruction
+ *    CountingReference (synth/count_reference.hh);
  *  - detector invariants must hold on the reference stream (conservation,
  *    iteration-count/backedge accounting, event ordering, depth bounds);
  *  - the LET/LIT meters must match independent list-based LRU reference
@@ -93,7 +94,6 @@ std::string describeEvent(const LoggedEvent &ev);
 class EventLog : public LoopListener
 {
   public:
-    bool consumesInstrs() const override { return false; }
     void onExecStart(const ExecStartEvent &ev) override;
     void onIterStart(const IterEvent &ev) override;
     void onIterEnd(const IterEvent &ev) override;

@@ -103,8 +103,6 @@ class LetHitMeter : public LoopListener
     explicit LetHitMeter(size_t num_entries,
                          TableReplacement policy = TableReplacement::Lru);
 
-    /** Event-driven only: instruction data carries no information. */
-    bool consumesInstrs() const override { return false; }
     /** Table lines keyed by loop id: worth warming before dispatch. */
     bool wantsPrefetchHints() const override { return true; }
     void prefetchLoop(uint32_t loop) override
@@ -146,8 +144,6 @@ class LitHitMeter : public LoopListener
     explicit LitHitMeter(size_t num_entries,
                          TableReplacement policy = TableReplacement::Lru);
 
-    /** Event-driven only: instruction data carries no information. */
-    bool consumesInstrs() const override { return false; }
     /** Table lines keyed by loop id: worth warming before dispatch. */
     bool wantsPrefetchHints() const override { return true; }
     void prefetchLoop(uint32_t loop) override

@@ -9,11 +9,11 @@
  *
  * Replay synthesises the non-control gap instructions between recorded
  * events (correct seq, CtrlKind::None) so observers see a stream with the
- * same length, positions and control behaviour as the original run;
- * listeners that only count instructions or consume loop events (LoopStats,
- * IdealTpcComputer, the LET/LIT meters) produce bit-identical artifacts.
- * Listeners that read operand values (DataSpecProfiler) must stay on the
- * functional pass.
+ * same length, positions and control behaviour as the original run, so
+ * every loop listener (the recorder, the LET/LIT meters) and everything
+ * derived from the recording (Table 1, the ideal TPC) is bit-identical.
+ * The profiler that reads operand values (DataSpecProfiler) must stay on
+ * the functional pass.
  */
 
 #ifndef LOOPSPEC_TRACEGEN_CONTROL_TRACE_HH

@@ -6,15 +6,6 @@ namespace loopspec
 {
 
 void
-SoaBatch::materializeAll(DynInstr *out) const
-{
-    LOOPSPEC_ASSERT(hasColdPlanes(),
-                    "materializing a hot-only SoA batch");
-    for (size_t i = 0; i < count; ++i)
-        out[i] = materialize(i);
-}
-
-void
 TraceObserver::onInstrBatchSoA(const SoaBatch &batch)
 {
     LOOPSPEC_ASSERT(batch.hasColdPlanes(),

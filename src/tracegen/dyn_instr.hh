@@ -123,9 +123,6 @@ struct SoaBatch
         return d;
     }
 
-    /** Materialize the whole batch into @p out (capacity >= count). */
-    void materializeAll(DynInstr *out) const;
-
     /** Per-instruction footprint of the hot planes alone. Pinned so a
      *  plane-type change (a widened kind enum, a bool-ified taken)
      *  shows up as a compile error, not a silent cache-budget change:

@@ -20,7 +20,7 @@ profileFor(const Program &prog, DataSpecConfig cfg = {})
     TraceEngine engine(prog);
     LoopDetector det({16});
     DataSpecProfiler prof(cfg);
-    det.addListener(&prof);
+    prof.attach(det);
     engine.addObserver(&det);
     engine.run();
     return prof.report();
@@ -218,7 +218,7 @@ TEST(DataSpec, PerIterationFlagsRecorded)
     TraceEngine engine(b.build());
     LoopDetector det({16});
     DataSpecProfiler prof(cfg);
-    det.addListener(&prof);
+    prof.attach(det);
     engine.addObserver(&det);
     engine.run();
 
@@ -245,7 +245,7 @@ TEST(DataSpec, PerIterationFlagsOffByDefault)
     TraceEngine engine(b.build());
     LoopDetector det({16});
     DataSpecProfiler prof;
-    det.addListener(&prof);
+    prof.attach(det);
     engine.addObserver(&det);
     engine.run();
     EXPECT_TRUE(prof.perIterationOk().empty());
@@ -267,7 +267,7 @@ TEST(DataSpec, MergeAnnotatesRecording)
     cfg.recordPerIteration = true;
     DataSpecProfiler prof(cfg);
     LoopEventRecorder rec;
-    det.addListener(&prof);
+    prof.attach(det);
     det.addListener(&rec);
     engine.addObserver(&det);
     engine.run();

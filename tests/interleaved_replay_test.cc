@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "loop/loop_detector.hh"
-#include "loop/loop_stats.hh"
 #include "speculation/event_record.hh"
 #include "tables/hit_ratio.hh"
 #include "tests/test_util.hh"
@@ -52,12 +51,10 @@ recordTrace(const char *workload = "compress")
 struct DerivedConfig
 {
     LoopDetector det;
-    LoopStats stats;
     LoopEventRecorder rec;
 
     explicit DerivedConfig(size_t cls) : det({cls})
     {
-        det.addListener(&stats);
         det.addListener(&rec);
     }
 };

@@ -183,7 +183,7 @@ TEST(Kernels, DispatchLoopDetectedAsOneLoopWithManyClosers)
     Program p = b.build();
     TraceEngine e(p);
     LoopDetector det({16});
-    LoopStats stats;
+    test::RecordedStats stats;
     det.addListener(&stats);
     e.addObserver(&det);
     e.run();
@@ -219,7 +219,7 @@ TEST(Kernels, LoopFarmAddsExactStaticLoops)
     Program p = b.build();
     TraceEngine e(p);
     LoopDetector det({16});
-    LoopStats stats;
+    test::RecordedStats stats;
     det.addListener(&stats);
     e.addObserver(&det);
     e.run();
@@ -236,7 +236,7 @@ TEST(Kernels, NestEmittersProduceExpectedIterations)
     Program p = b.build();
     TraceEngine e(p);
     LoopDetector det({16});
-    LoopStats stats;
+    test::RecordedStats stats;
     det.addListener(&stats);
     e.addObserver(&det);
     e.run();

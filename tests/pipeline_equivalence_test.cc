@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dataspec/data_profiler.hh"
@@ -22,6 +23,7 @@
 #include "program/builder.hh"
 #include "speculation/event_record.hh"
 #include "speculation/ideal_tpc.hh"
+#include "synth/count_reference.hh"
 #include "synth/diff_checker.hh"
 #include "tables/hit_ratio.hh"
 #include "tests/test_util.hh"
@@ -391,6 +393,60 @@ struct Artifacts
     double idealTpc = 0.0;
 };
 
+/** The Figure-4 meter bank every artifact set carries. */
+struct Meters
+{
+    std::vector<std::unique_ptr<LetHitMeter>> lets;
+    std::vector<std::unique_ptr<LitHitMeter>> lits;
+
+    Meters()
+    {
+        for (size_t sz : hitRatioTableSizes()) {
+            lets.push_back(std::make_unique<LetHitMeter>(sz));
+            lits.push_back(std::make_unique<LitHitMeter>(sz));
+        }
+    }
+
+    std::vector<LoopListener *>
+    listeners()
+    {
+        std::vector<LoopListener *> out;
+        for (size_t i = 0; i < lets.size(); ++i) {
+            out.push_back(lets[i].get());
+            out.push_back(lits[i].get());
+        }
+        return out;
+    }
+
+    std::vector<std::pair<uint64_t, uint64_t>>
+    results() const
+    {
+        std::vector<std::pair<uint64_t, uint64_t>> out;
+        for (size_t i = 0; i < lets.size(); ++i) {
+            out.emplace_back(lets[i]->result().accesses,
+                             lets[i]->result().hits);
+            out.emplace_back(lits[i]->result().accesses,
+                             lits[i]->result().hits);
+        }
+        return out;
+    }
+};
+
+/** Artifacts of @p recording's first @p window instructions. */
+Artifacts
+fromRecording(const LoopEventRecording &recording, uint64_t window)
+{
+    Meters meters;
+    replayLoopEvents(recording, meters.listeners(), window);
+    Artifacts out;
+    out.stats = loopStatsFromRecording(recording, window);
+    out.idealTpc = idealFromRecording(recording, window).tpc();
+    out.meters = meters.results();
+    return out;
+}
+
+/** One detector pass (step() or batched run()), reduced to artifacts
+ *  from its recording, the production way. */
 Artifacts
 collect(const Program &prog, size_t cls, uint64_t max_instrs, bool scalar,
         size_t batch_instrs = 4096)
@@ -400,18 +456,8 @@ collect(const Program &prog, size_t cls, uint64_t max_instrs, bool scalar,
     cfg.batchInstrs = batch_instrs;
     TraceEngine engine(prog, cfg);
     LoopDetector det({cls});
-    LoopStats stats;
-    IdealTpcComputer ideal;
-    std::vector<std::unique_ptr<LetHitMeter>> lets;
-    std::vector<std::unique_ptr<LitHitMeter>> lits;
-    det.addListener(&stats);
-    det.addListener(&ideal);
-    for (size_t sz : hitRatioTableSizes()) {
-        lets.push_back(std::make_unique<LetHitMeter>(sz));
-        lits.push_back(std::make_unique<LitHitMeter>(sz));
-        det.addListener(lets.back().get());
-        det.addListener(lits.back().get());
-    }
+    LoopEventRecorder rec;
+    det.addListener(&rec);
     engine.addObserver(&det);
     if (scalar) {
         DynInstr d;
@@ -420,15 +466,31 @@ collect(const Program &prog, size_t cls, uint64_t max_instrs, bool scalar,
     } else {
         engine.run();
     }
-    Artifacts out;
-    out.stats = stats.report();
-    out.idealTpc = ideal.tpc();
-    for (size_t i = 0; i < lets.size(); ++i) {
-        out.meters.emplace_back(lets[i]->result().accesses,
-                                lets[i]->result().hits);
-        out.meters.emplace_back(lits[i]->result().accesses,
-                                lits[i]->result().hits);
+    const LoopEventRecording recording = rec.take();
+    return fromRecording(recording, recording.totalInstrs);
+}
+
+/** The same artifacts from the per-instruction reference
+ *  (synth::CountingReference) fed by step(): its counts come from
+ *  instruction delivery, not from event positions. */
+Artifacts
+reference(const Program &prog, size_t cls, uint64_t max_instrs)
+{
+    EngineConfig cfg;
+    cfg.maxInstrs = max_instrs;
+    TraceEngine engine(prog, cfg);
+    synth::CountingReference ref(cls);
+    Meters meters;
+    for (LoopListener *l : meters.listeners())
+        ref.addListener(l);
+    engine.addObserver(&ref);
+    DynInstr d;
+    while (engine.step(d)) {
     }
+    Artifacts out;
+    out.stats = ref.loopStats();
+    out.idealTpc = ref.ideal().tpc();
+    out.meters = meters.results();
     return out;
 }
 
@@ -457,8 +519,9 @@ TEST(BatchVsScalar, PipelineArtifactsIdentical)
     for (const char *name : kWorkloads) {
         SCOPED_TRACE(name);
         Program p = buildWorkload(name, {kScale});
-        expectSameArtifacts(collect(p, 16, 0, true),
-                            collect(p, 16, 0, false));
+        const Artifacts ref = reference(p, 16, 0);
+        expectSameArtifacts(collect(p, 16, 0, true), ref);
+        expectSameArtifacts(collect(p, 16, 0, false), ref);
     }
 }
 
@@ -467,13 +530,15 @@ TEST(BatchVsScalar, ArtifactsIdenticalAcrossLayoutsAtEveryClsSize)
     // Scalar step() and hot-plane run() at the default and an odd batch
     // size must agree on every Table-1/Figure-4 artifact at CLS 4/8/16 —
     // the detector consumes per-record calls, and batches whose
-    // boundaries fall at different positions.
+    // boundaries fall at different positions — and all must equal the
+    // per-instruction reference.
     for (const char *name : kWorkloads) {
         SCOPED_TRACE(name);
         Program p = buildWorkload(name, {kScale});
         for (size_t cls : {4u, 8u, 16u}) {
             SCOPED_TRACE(cls);
-            Artifacts ref = collect(p, cls, 0, true);
+            const Artifacts ref = reference(p, cls, 0);
+            expectSameArtifacts(collect(p, cls, 0, true), ref);
             expectSameArtifacts(collect(p, cls, 0, false), ref);
             expectSameArtifacts(collect(p, cls, 0, false, 999), ref);
         }
@@ -499,14 +564,15 @@ recordOnce(const Program &prog, size_t cls, uint64_t max_instrs = 0)
 
 // ------------------------------------------------------------------
 // The detector's one batch walk hops along the control index over the
-// hot planes; a record-reading listener (DataSpecProfiler) additionally
-// gets spans of a per-batch materialized copy. Either way the events,
-// and what the record reader computes, must equal scalar delivery.
+// hot planes; its instruction consumer (DataSpecProfiler) additionally
+// gets plane spans and reads the cold planes itself. Either way the
+// events, and what the profiler computes, must equal scalar delivery.
 
 struct DetectorRun
 {
     synth::EventLog log;
     DataSpecReport dataSpec;
+    std::unordered_map<uint64_t, std::vector<bool>> dataOk, liveInOk;
     BatchNeed need = BatchNeed::HotPlanes;
 };
 
@@ -518,11 +584,13 @@ detectOnce(const Program &prog, bool scalar, size_t batch_instrs,
     cfg.batchInstrs = batch_instrs;
     TraceEngine engine(prog, cfg);
     LoopDetector det({16});
-    DataSpecProfiler profiler;
+    DataSpecConfig dcfg;
+    dcfg.recordPerIteration = true;
+    DataSpecProfiler profiler(dcfg);
     DetectorRun out;
     det.addListener(&out.log);
     if (profile)
-        det.addListener(&profiler);
+        profiler.attach(det);
     out.need = det.batchNeed();
     engine.addObserver(&det);
     if (scalar) {
@@ -532,8 +600,11 @@ detectOnce(const Program &prog, bool scalar, size_t batch_instrs,
     } else {
         engine.run();
     }
-    if (profile)
+    if (profile) {
         out.dataSpec = profiler.report();
+        out.dataOk = profiler.perIterationOk();
+        out.liveInOk = profiler.perIterationLiveInOk();
+    }
     return out;
 }
 
@@ -566,6 +637,7 @@ TEST(DetectorBatchWalk, EventsMatchScalarWithAndWithoutRecordReader)
             ASSERT_FALSE(ref.log.events.empty());
             if (profile) {
                 ASSERT_GT(ref.dataSpec.lrTotal, 0u);
+                ASSERT_FALSE(ref.dataOk.empty());
             }
             for (size_t batch : {1u, 999u, 4096u}) {
                 SCOPED_TRACE(batch);
@@ -580,6 +652,8 @@ TEST(DetectorBatchWalk, EventsMatchScalarWithAndWithoutRecordReader)
                         << synth::describeEvent(ref.log.events[i]);
                 }
                 expectSameDataSpec(got.dataSpec, ref.dataSpec);
+                EXPECT_EQ(got.dataOk, ref.dataOk);
+                EXPECT_EQ(got.liveInOk, ref.liveInOk);
             }
         }
     }
@@ -634,19 +708,13 @@ TEST(ControlReplay, Table1ArtifactsMatchDirectAtEveryClsSize)
         auto [trace, rec] = recordOnce(p, 16);
         for (size_t cls : {4u, 8u, 12u, 16u}) {
             SCOPED_TRACE(cls);
-            Artifacts direct = collect(p, cls, 0, true);
+            Artifacts direct = reference(p, cls, 0);
             LoopDetector det({cls});
-            LoopStats stats;
-            IdealTpcComputer ideal;
-            det.addListener(&stats);
-            det.addListener(&ideal);
+            LoopEventRecorder replayed;
+            det.addListener(&replayed);
             uint64_t n = replayControlTrace(trace, det);
             EXPECT_EQ(n, direct.stats.totalInstrs);
-            Artifacts replayed;
-            replayed.stats = stats.report();
-            replayed.idealTpc = ideal.tpc();
-            replayed.meters = direct.meters; // not replayed here
-            expectSameArtifacts(replayed, direct);
+            expectSameArtifacts(fromRecording(replayed.take(), n), direct);
         }
     }
 }
@@ -657,56 +725,23 @@ TEST(ControlReplay, PrefixTruncationMatchesDirectTruncatedRun)
     auto [trace, rec] = recordOnce(p, 16);
     uint64_t half = trace.totalInstrs / 2;
 
-    Artifacts direct = collect(p, 16, half, true);
+    Artifacts direct = reference(p, 16, half);
     LoopDetector det({16});
-    LoopStats stats;
-    IdealTpcComputer ideal;
-    det.addListener(&stats);
-    det.addListener(&ideal);
+    LoopEventRecorder replayed;
+    det.addListener(&replayed);
     uint64_t n = replayControlTrace(trace, det, half);
     EXPECT_EQ(n, half);
-    EXPECT_EQ(stats.report().totalInstrs, direct.stats.totalInstrs);
-    EXPECT_EQ(stats.report().totalExecs, direct.stats.totalExecs);
-    EXPECT_EQ(stats.report().totalIters, direct.stats.totalIters);
-    EXPECT_EQ(ideal.tpc(), direct.idealTpc);
-}
-
-/** Artifacts + re-recording of a windowed loop-event replay. */
-std::pair<Artifacts, LoopEventRecording>
-replayWindow(const LoopEventRecording &rec, uint64_t window)
-{
-    LoopStats stats;
-    IdealTpcComputer ideal;
-    LoopEventRecorder rerecorder;
-    std::vector<std::unique_ptr<LetHitMeter>> lets;
-    std::vector<std::unique_ptr<LitHitMeter>> lits;
-    std::vector<LoopListener *> listeners = {&stats, &ideal, &rerecorder};
-    for (size_t sz : hitRatioTableSizes()) {
-        lets.push_back(std::make_unique<LetHitMeter>(sz));
-        lits.push_back(std::make_unique<LitHitMeter>(sz));
-        listeners.push_back(lets.back().get());
-        listeners.push_back(lits.back().get());
-    }
-    replayLoopEvents(rec, listeners, window);
-    Artifacts out;
-    out.stats = stats.report();
-    out.idealTpc = ideal.tpc();
-    for (size_t i = 0; i < lets.size(); ++i) {
-        out.meters.emplace_back(lets[i]->result().accesses,
-                                lets[i]->result().hits);
-        out.meters.emplace_back(lits[i]->result().accesses,
-                                lits[i]->result().hits);
-    }
-    return {out, rerecorder.take()};
+    expectSameArtifacts(fromRecording(replayed.take(), n), direct);
 }
 
 TEST(WindowedReplay, MatchesDirectDetectionOverEveryWindow)
 {
     // The detector is causal: a recording cut at W, with the trace-end
     // close-out rebuilt from the loops open there, is the detection of
-    // the first W instructions — Table 1, the ideal TPC, the meters and
-    // the re-recording alike. Windows: the whole trace, Figure 5's half,
-    // an odd cut, and both ends.
+    // the first W instructions — the meters and the re-recording alike —
+    // and Table 1 and the ideal TPC computed from it at W equal the
+    // per-instruction reference over those instructions. Windows: the
+    // whole trace, Figure 5's half, an odd cut, and both ends.
     for (const char *name : {"compress", "li", "synth.nest",
                              "synth.irregular", "synth.calls"}) {
         SCOPED_TRACE(name);
@@ -718,25 +753,16 @@ TEST(WindowedReplay, MatchesDirectDetectionOverEveryWindow)
             ASSERT_GT(n, 2u);
             for (uint64_t w : {n, n / 2, n / 3 + 7, uint64_t{1}, n - 1}) {
                 SCOPED_TRACE(w);
-                auto [got, rerecorded] = replayWindow(rec, w);
-                expectSameArtifacts(got, collect(p, cls, w, false));
+                expectSameArtifacts(fromRecording(rec, w),
+                                    reference(p, cls, w));
+                LoopEventRecorder rerecorder;
+                replayLoopEvents(rec, {&rerecorder}, w);
                 EXPECT_EQ(compareRecordings(recordOnce(p, cls, w).second,
-                                            rerecorded),
+                                            rerecorder.take()),
                           "");
             }
         }
     }
-}
-
-TEST(WindowedReplayDeathTest, RecordReadingListenerIsRejected)
-{
-    // Replay synthesizes spans as counts only; a listener that reads
-    // the instruction records has nothing to read.
-    Program p = buildWorkload("compress", {kScale});
-    const LoopEventRecording rec = recordOnce(p, 16).second;
-    test::CaptureListener reads_records;
-    EXPECT_DEATH(replayLoopEvents(rec, {&reads_records}),
-                 "no instruction records");
 }
 
 TEST(ControlReplay, SaveLoadRoundTrip)

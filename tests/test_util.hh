@@ -2,7 +2,7 @@
  * @file
  * Shared test helpers: the test-suite RNG seed base, an event-capturing
  * LoopListener with a compact textual rendering (for golden-sequence
- * assertions), one-call program tracing, and the loop-program builders
+ * assertions), Table 1 of a detector pass (RecordedStats), one-call program tracing, and the loop-program builders
  * (flat counted loop, two-level nest) that half the suites need, and
  * ScratchDir, the per-test directory for files a test writes.
  */
@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include "loop/loop_detector.hh"
+#include "loop/loop_stats.hh"
 #include "program/builder.hh"
+#include "speculation/event_record.hh"
 #include "tracegen/trace_engine.hh"
 #include "util/logging.hh"
 
@@ -130,6 +132,30 @@ nestedLoops(int64_t outer, int64_t inner, int nops = 1)
     b.halt();
     return b.build();
 }
+
+/**
+ * Table 1 of one detector pass, by way of its recording: attach to a
+ * detector like any listener, run the pass, then read report()
+ * (loopStatsFromRecording over the whole pass).
+ */
+class RecordedStats : public LoopEventRecorder
+{
+  public:
+    const LoopStatsReport &
+    report()
+    {
+        if (!reported) {
+            const LoopEventRecording rec = take();
+            stats = loopStatsFromRecording(rec, rec.totalInstrs);
+            reported = true;
+        }
+        return stats;
+    }
+
+  private:
+    LoopStatsReport stats;
+    bool reported = false;
+};
 
 /** Captures the full loop-event stream. */
 class CaptureListener : public LoopListener

@@ -327,7 +327,7 @@ TEST(TraceFormatStreaming, TinyChunkBytesIsRaisedToDocumentedMinimum)
     ASSERT_NE(streamer, nullptr) << err;
 
     LoopDetector det({16});
-    LoopStats stats;
+    test::RecordedStats stats;
     det.addListener(&stats);
     err = streamer->replayControl(det);
     ASSERT_EQ(err, "");
@@ -357,7 +357,7 @@ TEST(TraceFormatStreaming, MassiveTraceReplaysWithinFixedMemoryBudget)
         << "trace too small to make the budget meaningful";
 
     LoopDetector det({16});
-    LoopStats stats;
+    test::RecordedStats stats;
     det.addListener(&stats);
     err = streamer->replayControl(det);
     ASSERT_EQ(err, "");

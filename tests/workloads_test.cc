@@ -22,7 +22,7 @@ statsFor(const std::string &name, double scale)
     Program p = buildWorkload(name, {scale});
     TraceEngine engine(p);
     LoopDetector det({16});
-    LoopStats stats;
+    test::RecordedStats stats;
     det.addListener(&stats);
     engine.addObserver(&det);
     engine.run();
